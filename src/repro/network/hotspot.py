@@ -26,7 +26,7 @@ from repro.network.multistage import (
     Workload,
 )
 from repro.network.netbackoff import ImmediateRetry, NetworkBackoffPolicy
-from repro.sim.rng import spawn_stream
+from repro.sim.rng import BlockDraws, spawn_stream
 
 
 class HotspotWorkload(Workload):
@@ -50,19 +50,22 @@ class HotspotWorkload(Workload):
         self.hot_fraction = hot_fraction
         self.hot_dest = hot_dest
         self.think_time = think_time
-        self._rng = spawn_stream(seed, f"hotspot:{num_ports}:{hot_fraction}")
+        # The workload owns this stream, so it can draw it in blocks.
+        self._rng = BlockDraws(
+            spawn_stream(seed, f"hotspot:{num_ports}:{hot_fraction}")
+        )
 
     def _pick_dest(self) -> int:
         if self._rng.random() < self.hot_fraction:
             return self.hot_dest
-        return int(self._rng.integers(self.num_ports))
+        return self._rng.integers(self.num_ports)
 
     def initial_messages(self) -> List[NetworkMessage]:
         # Stagger initial issues across the think window so the network
         # does not see an artificial time-zero burst.
         messages = []
         for source in range(self.num_ports):
-            issue = int(self._rng.integers(self.think_time + 1))
+            issue = self._rng.integers(self.think_time + 1)
             messages.append(
                 NetworkMessage(source=source, dest=self._pick_dest(), issue_time=issue)
             )

@@ -12,11 +12,11 @@ switches connected by perfect shuffles.  Destination-tag routing is
 used: starting from position ``source``, at stage ``k`` the message
 moves to line ``((pos << 1) & (P-1)) | bit_{n-1-k}(dest)``; after ``n``
 stages the position equals ``dest``.  Each ``(stage, line)`` pair is a
-link resource; a circuit claims all ``n`` links on its path for
-``hold_time`` cycles (the round trip).  Two circuits that need the same
-link at overlapping times collide; the loser learns the *depth* (number
-of stages traversed) of the collision, consults its backoff policy, and
-retries.
+link resource, stored flat as link ``stage * P + line``; a circuit
+claims all ``n`` links on its path for ``hold_time`` cycles (the round
+trip).  Two circuits that need the same link at overlapping times
+collide; the loser learns the *depth* (number of stages traversed) of
+the collision, consults its backoff policy, and retries.
 
 The simulation is event-driven over attempt times, so idle cycles cost
 nothing.
@@ -24,9 +24,10 @@ nothing.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.faults.plan import GRANT_DROP, GRANT_DUP, get_fault_plan
 from repro.network.netbackoff import (
@@ -105,8 +106,38 @@ class Workload:
         return None
 
 
+@functools.lru_cache(maxsize=64)
+def _stage_shifts(num_ports: int) -> Tuple[Tuple[int, int], ...]:
+    stages = num_ports.bit_length() - 1
+    return tuple(
+        (stage * num_ports, stages - 1 - stage) for stage in range(stages)
+    )
+
+
+def omega_links(num_ports: int, source: int, dest: int) -> Tuple[int, ...]:
+    """The destination-tag route from ``source`` to ``dest`` as flat link ids.
+
+    Link ``stage * num_ports + line`` is output ``line`` of stage
+    ``stage``.  After ``k + 1`` perfect-shuffle steps the position is the
+    low bits of ``source`` shifted up by ``k + 1`` with the top ``k + 1``
+    bits of ``dest`` below them: the ``n`` bits of the word
+    ``source << n | dest`` that start at bit ``n - 1 - k``.  The caller
+    checks the range.
+    """
+    word = (source << (num_ports.bit_length() - 1)) | dest
+    mask = num_ports - 1
+    return tuple(
+        [base + ((word >> shift) & mask) for base, shift in _stage_shifts(num_ports)]
+    )
+
+
 class MultistageNetwork:
-    """A ``P``-port circuit-switched Omega network."""
+    """A ``P``-port circuit-switched Omega network.
+
+    After a run, ``_busy_until`` (first free cycle of each flat link)
+    and ``_dest_pending`` (messages outstanding per destination) hold
+    that run's final state; the next run starts from fresh state.
+    """
 
     def __init__(
         self,
@@ -122,131 +153,150 @@ class MultistageNetwork:
         self.num_stages = num_ports.bit_length() - 1
         self.hold_time = hold_time
         self.backoff = backoff if backoff is not None else ImmediateRetry()
-        # busy_until[stage][line]: first cycle the link is free again.
-        self._busy_until: List[List[int]] = [
-            [0] * num_ports for _ in range(self.num_stages)
-        ]
+        # busy_until[stage * P + line]: first cycle the link is free again.
+        self._busy_until: List[int] = [0] * (self.num_stages * num_ports)
         # Outstanding (issued, not completed) messages per destination:
         # the queue-length signal for feedback backoff.
-        self._dest_pending: Dict[int, int] = {}
+        self._dest_pending: List[int] = [0] * num_ports
 
-    def route_lines(self, source: int, dest: int) -> List[Tuple[int, int]]:
-        """The (stage, line) resources on the path from source to dest."""
+    def route_links(self, source: int, dest: int) -> Tuple[int, ...]:
+        """The flat link ids ``stage * P + line`` from source to dest."""
         if not 0 <= source < self.num_ports:
             raise ValueError(f"source {source} out of range")
         if not 0 <= dest < self.num_ports:
             raise ValueError(f"dest {dest} out of range")
-        mask = self.num_ports - 1
-        pos = source
-        lines = []
-        for stage in range(self.num_stages):
-            dest_bit = (dest >> (self.num_stages - 1 - stage)) & 1
-            pos = ((pos << 1) & mask) | dest_bit
-            lines.append((stage, pos))
-        return lines
+        return omega_links(self.num_ports, source, dest)
 
-    def _attempt(self, message: NetworkMessage, time: int) -> Tuple[bool, int]:
-        """Try to claim the full path at ``time``.
-
-        Returns ``(success, depth)`` where depth is the number of stages
-        traversed before the collision (== num_stages on success).
-        """
-        path = self.route_lines(message.source, message.dest)
-        for depth, (stage, line) in enumerate(path, start=1):
-            if self._busy_until[stage][line] > time:
-                return False, depth
-        release = time + self.hold_time
-        for stage, line in path:
-            self._busy_until[stage][line] = release
-        return True, self.num_stages
+    def route_lines(self, source: int, dest: int) -> List[Tuple[int, int]]:
+        """The (stage, line) resources on the path from source to dest."""
+        return [
+            divmod(link, self.num_ports) for link in self.route_links(source, dest)
+        ]
 
     def run(self, workload: Workload, horizon: int) -> NetworkRunResult:
         """Drive ``workload`` through the network until ``horizon``.
 
         Messages still in flight at the horizon are abandoned (they count
-        toward attempts/collisions but not completions).
+        toward attempts/collisions but not completions).  Each message's
+        path is computed once, at its first attempt, and travels with it
+        in the event heap; a message never attempted before the horizon
+        is never routed, so its ports are never range-checked.
         """
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         result = NetworkRunResult(horizon=horizon)
-        heap: List[Tuple[int, int, NetworkMessage]] = []
-        seq = 0
         tracer = get_tracer()
         trace_on = tracer.enabled
         plan = get_fault_plan()
-
-        def push(message: NetworkMessage, when: int) -> None:
-            nonlocal seq
-            heapq.heappush(heap, (when, seq, message))
-            seq += 1
+        num_ports = self.num_ports
+        stages = self.num_stages
+        hold = self.hold_time
+        backoff = self.backoff
+        delay_of = backoff.delay
+        route = self.route_links
+        on_complete = workload.on_complete
+        add_latency = result.latency.add
+        add_attempts = result.attempts_per_message.add
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        busy = self._busy_until = [0] * (stages * num_ports)
+        pending = self._dest_pending = [0] * num_ports
+        depth_counts = [0] * (stages + 1)
+        attempts = collisions = completed = 0
+        # Entries are (time, seq, message, path), path None until the
+        # first attempt; seq is unique, so the message and path never take
+        # part in a comparison.
+        heap: List[Tuple[int, int, NetworkMessage, Optional[Tuple[int, ...]]]] = []
+        seq = 0
 
         for message in workload.initial_messages():
-            self._dest_pending[message.dest] = (
-                self._dest_pending.get(message.dest, 0) + 1
-            )
-            push(message, message.issue_time)
+            # An out-of-range dest is not counted here; routing rejects it
+            # at its first attempt.
+            if 0 <= message.dest < num_ports:
+                pending[message.dest] += 1
+            heappush(heap, (message.issue_time, seq, message, None))
+            seq += 1
 
         while heap:
-            time, __, message = heapq.heappop(heap)
+            time, __, message, path = heappop(heap)
             if time >= horizon:
                 break
+            if path is None:
+                path = route(message.source, message.dest)
             message.attempts += 1
-            result.attempts += 1
-            success, depth = self._attempt(message, time)
-            if success and plan is not None:
-                outcome = plan.grant_outcome("network.grant", message.source, time)
-                if outcome == GRANT_DROP:
-                    # The grant (or its acknowledgement) is lost: the
-                    # circuit held its links for the round trip but the
-                    # requester saw nothing, so it retries afterwards.
-                    result.dropped_grants += 1
-                    push(message, time + self.hold_time + 1)
-                    continue
-                if outcome == GRANT_DUP:
-                    # A duplicated grant: the duplicate consumed one
-                    # extra network attempt's worth of resources.
-                    result.duplicated_grants += 1
-                    result.attempts += 1
-            if success:
-                message.completed_time = time + self.hold_time
-                self._dest_pending[message.dest] -= 1
-                result.completed += 1
-                result.latency.add(message.latency)  # type: ignore[arg-type]
-                result.attempts_per_message.add(message.attempts)
-                successor = workload.on_complete(message, message.completed_time)
+            attempts += 1
+            # Claim the whole path, or find the first busy link.
+            depth = 0
+            for link in path:
+                if busy[link] > time:
+                    break
+                depth += 1
+            if depth == stages:
+                release = time + hold
+                for link in path:
+                    busy[link] = release
+                if plan is not None:
+                    outcome = plan.grant_outcome("network.grant", message.source, time)
+                    if outcome == GRANT_DROP:
+                        # The grant (or its acknowledgement) is lost: the
+                        # circuit held its links for the round trip but the
+                        # requester saw nothing, so it retries afterwards.
+                        result.dropped_grants += 1
+                        heappush(heap, (time + hold + 1, seq, message, path))
+                        seq += 1
+                        continue
+                    if outcome == GRANT_DUP:
+                        # A duplicated grant: the duplicate consumed one
+                        # extra network attempt's worth of resources.
+                        result.duplicated_grants += 1
+                        attempts += 1
+                message.completed_time = release
+                pending[message.dest] -= 1
+                completed += 1
+                add_latency(release - message.issue_time)
+                add_attempts(message.attempts)
+                successor = on_complete(message, release)
                 if successor is not None:
-                    self._dest_pending[successor.dest] = (
-                        self._dest_pending.get(successor.dest, 0) + 1
-                    )
-                    push(successor, successor.issue_time)
+                    if 0 <= successor.dest < num_ports:
+                        pending[successor.dest] += 1
+                    heappush(heap, (successor.issue_time, seq, successor, None))
+                    seq += 1
             else:
-                message.tries += 1
-                result.collisions += 1
-                result.collision_depths.add(depth)
+                depth += 1  # stages traversed, counting the colliding one
+                tries = message.tries = message.tries + 1
+                collisions += 1
+                depth_counts[depth] += 1
                 info = CollisionInfo(
                     depth=depth,
-                    stages=self.num_stages,
-                    tries=message.tries,
-                    round_trip=self.hold_time,
-                    queue_length=self._dest_pending.get(message.dest, 1) - 1,
+                    stages=stages,
+                    tries=tries,
+                    round_trip=hold,
+                    queue_length=pending[message.dest] - 1,
                 )
-                delay = self.backoff.delay(info)
+                delay = delay_of(info)
                 if delay < 0:
                     raise ValueError(
-                        f"backoff policy {self.backoff!r} returned negative delay"
+                        f"backoff policy {backoff!r} returned negative delay"
                     )
                 if trace_on:
                     tracer.count("network.collisions")
                     tracer.observe("network.hotspot_queue_length", info.queue_length)
                     tracer.observe("network.collision_depth", depth)
-                push(message, time + 1 + delay)
+                heappush(heap, (time + 1 + delay, seq, message, path))
+                seq += 1
+        result.attempts = attempts
+        result.collisions = collisions
+        result.completed = completed
+        for depth, count in enumerate(depth_counts):
+            if count:
+                result.collision_depths.add(depth, count)
         if trace_on:
             tracer.count("network.attempts", result.attempts)
             tracer.count("network.completions", result.completed)
             tracer.emit(
                 "network.run",
-                ports=self.num_ports,
-                policy=self.backoff.name,
+                ports=num_ports,
+                policy=backoff.name,
                 horizon=horizon,
                 completed=result.completed,
                 collisions=result.collisions,

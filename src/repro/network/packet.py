@@ -29,27 +29,27 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+from repro.network.multistage import omega_links
 from repro.network.netbackoff import (
     CollisionInfo,
     ImmediateRetry,
     NetworkBackoffPolicy,
 )
-from repro.sim.rng import spawn_stream
+from repro.sim.rng import BlockDraws, spawn_stream
 from repro.sim.stats import RunningStats
 
 
-@dataclass
 class _Packet:
     """One request packet in flight."""
 
-    dest: int
-    injected_at: int
-    path: Tuple[Tuple[int, int], ...]
-    hop: int = 0  # index into path of the queue currently holding it
+    __slots__ = ("dest", "injected_at", "path")
 
-    @property
-    def is_hot(self) -> bool:
-        return self.dest == 0  # by convention the hot module is port 0
+    def __init__(self, dest: int, injected_at: int, path: Tuple[int, ...]) -> None:
+        self.dest = dest
+        self.injected_at = injected_at
+        #: Flat queue ids ``stage * P + line``, one per stage: a packet
+        #: in a stage-``s`` queue moves on to ``path[s + 1]``.
+        self.path = path
 
 
 @dataclass
@@ -117,31 +117,26 @@ class PacketSwitchedNetwork:
         self.num_stages = num_ports.bit_length() - 1
         self.queue_capacity = queue_capacity
         self.memory_service = memory_service
-        self._queues: Dict[Tuple[int, int], Deque[_Packet]] = {}
+        # _queues[stage * P + line]: the FIFO of that switch output.  A
+        # run starts from empty queues and leaves its final ones here.
+        self._queues: List[Deque[_Packet]] = self._empty_queues()
 
-    def _queue(self, stage: int, line: int) -> Deque[_Packet]:
-        key = (stage, line)
-        queue = self._queues.get(key)
-        if queue is None:
-            queue = deque()
-            self._queues[key] = queue
-        return queue
+    def _empty_queues(self) -> List[Deque[_Packet]]:
+        return [deque() for __ in range(self.num_stages * self.num_ports)]
 
     def route(self, source: int, dest: int) -> Tuple[Tuple[int, int], ...]:
         """Queue sequence (stage, line) from source to dest."""
-        mask = self.num_ports - 1
-        pos = source
-        path = []
-        for stage in range(self.num_stages):
-            dest_bit = (dest >> (self.num_stages - 1 - stage)) & 1
-            pos = ((pos << 1) & mask) | dest_bit
-            path.append((stage, pos))
-        return tuple(path)
+        return tuple(
+            divmod(link, self.num_ports)
+            for link in omega_links(self.num_ports, source, dest)
+        )
 
     def dest_queue_length(self, dest: int) -> int:
         """Occupancy of the final-stage queue feeding module ``dest`` —
         the Scott & Sohi feedback signal."""
-        return len(self._queue(self.num_stages - 1, dest))
+        if not 0 <= dest < self.num_ports:
+            raise ValueError(f"dest {dest} out of range")
+        return len(self._queues[(self.num_stages - 1) * self.num_ports + dest])
 
     def run(
         self,
@@ -172,96 +167,116 @@ class PacketSwitchedNetwork:
         if not 0.0 <= hot_fraction <= 1.0:
             raise ValueError("hot_fraction must be in [0, 1]")
         policy = backoff if backoff is not None else ImmediateRetry()
-        rng = spawn_stream(seed, f"packet:{self.num_ports}:{hot_fraction}")
+        delay_of = policy.delay
+        # The injector owns this stream, so it can draw it in blocks.
+        rng = BlockDraws(
+            spawn_stream(seed, f"packet:{self.num_ports}:{hot_fraction}")
+        )
+        random = rng.random
+        integers = rng.integers
         result = PacketRunResult(horizon=horizon, num_ports=self.num_ports)
+        add_hot = result.latency_hot.add
+        add_cold = result.latency_cold.add
 
-        # Per-port injection state.
-        next_try = [0] * self.num_ports
-        blocked_tries = [0] * self.num_ports
-        pending: List[Optional[int]] = [None] * self.num_ports  # queued dest
+        num_ports = self.num_ports
+        stages = self.num_stages
+        capacity = self.queue_capacity
+        service = self.memory_service
+        queues = self._queues = self._empty_queues()
+        # The queues of each stage, and the final stage's (module ``dest``
+        # is fed by last_queues[dest], queue id last_base + dest).
+        stage_queues = [
+            queues[stage * num_ports:(stage + 1) * num_ports]
+            for stage in range(stages)
+        ]
+        last_queues = stage_queues[-1]
+        last_base = (stages - 1) * num_ports
+        round_trip = 2 * stages
 
-        last_stage = self.num_stages - 1
+        # Per-port injection state; a request waiting to inject is kept
+        # as its path (its dest is path[-1] - last_base).
+        next_try = [0] * num_ports
+        blocked_tries = [0] * num_ports
+        pending: List[Optional[Tuple[int, ...]]] = [None] * num_ports
+        ports = range(num_ports)
+
         for now in range(horizon):
             # 1. Memory modules drain their final-stage queues.
-            for line in range(self.num_ports):
-                queue = self._queues.get((last_stage, line))
+            for queue in last_queues:
                 if not queue:
                     continue
-                for __ in range(min(self.memory_service, len(queue))):
+                for __ in range(min(service, len(queue))):
                     packet = queue.popleft()
-                    latency = now - packet.injected_at + 1
-                    if packet.is_hot:
+                    # By convention the hot module is port 0.
+                    if packet.dest == 0:
                         result.delivered_hot += 1
-                        result.latency_hot.add(latency)
+                        add_hot(now - packet.injected_at + 1)
                     else:
                         result.delivered_cold += 1
-                        result.latency_cold.add(latency)
+                        add_cold(now - packet.injected_at + 1)
 
             # 2. Forward packets stage by stage, back to front, one
             #    acceptance per queue per cycle (2x2 switch arbitration).
-            for stage in range(last_stage - 1, -1, -1):
-                accepted: Dict[Tuple[int, int], int] = {}
-                for line in range(self.num_ports):
-                    queue = self._queues.get((stage, line))
+            for stage in range(stages - 2, -1, -1):
+                next_stage = stage + 1
+                accepted = set()
+                for queue in stage_queues[stage]:
                     if not queue:
                         continue
-                    packet = queue[0]
-                    next_key = packet.path[packet.hop + 1]
-                    target = self._queue(*next_key)
-                    if accepted.get(next_key, 0) >= 1:
+                    next_link = queue[0].path[next_stage]
+                    if next_link in accepted:
                         continue
-                    if len(target) >= self.queue_capacity:
+                    target = queues[next_link]
+                    if len(target) >= capacity:
                         continue
-                    queue.popleft()
-                    packet.hop += 1
-                    target.append(packet)
-                    accepted[next_key] = accepted.get(next_key, 0) + 1
+                    target.append(queue.popleft())
+                    accepted.add(next_link)
 
             # 3. Injections.
-            for port in range(self.num_ports):
+            for port in ports:
                 if now < next_try[port]:
                     continue
-                dest = pending[port]
-                if dest is None:
-                    if rng.random() >= injection_rate:
+                path = pending[port]
+                if path is None:
+                    if random() >= injection_rate:
                         continue
-                    dest = 0 if rng.random() < hot_fraction else int(
-                        rng.integers(self.num_ports)
-                    )
+                    dest = 0 if random() < hot_fraction else integers(num_ports)
+                    path = omega_links(num_ports, port, dest)
+                else:
+                    dest = path[-1] - last_base
                 if proactive:
-                    occupancy = self.dest_queue_length(dest)
+                    occupancy = len(last_queues[dest])
                     if occupancy:
                         info = CollisionInfo(
                             depth=1,
-                            stages=self.num_stages,
+                            stages=stages,
                             tries=blocked_tries[port],
-                            round_trip=2 * self.num_stages,
+                            round_trip=round_trip,
                             queue_length=occupancy,
                         )
-                        delay = policy.delay(info)
+                        delay = delay_of(info)
                         if delay > 0:
-                            pending[port] = dest
+                            pending[port] = path
                             next_try[port] = now + delay
                             continue
-                path = self.route(port, dest)
-                entry = self._queue(*path[0])
-                if len(entry) < self.queue_capacity:
-                    entry.append(_Packet(dest=dest, injected_at=now, path=path))
+                entry = queues[path[0]]
+                if len(entry) < capacity:
+                    entry.append(_Packet(dest, now, path))
                     result.injected += 1
                     pending[port] = None
                     blocked_tries[port] = 0
                 else:
                     result.injection_blocked += 1
-                    pending[port] = dest
+                    pending[port] = path
                     blocked_tries[port] += 1
                     info = CollisionInfo(
                         depth=1,
-                        stages=self.num_stages,
+                        stages=stages,
                         tries=blocked_tries[port],
-                        round_trip=2 * self.num_stages,
-                        queue_length=self.dest_queue_length(dest),
+                        round_trip=round_trip,
+                        queue_length=len(last_queues[dest]),
                     )
-                    next_try[port] = now + 1 + max(policy.delay(info), 0)
+                    next_try[port] = now + 1 + max(delay_of(info), 0)
         return result
 
 

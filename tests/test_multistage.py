@@ -2,12 +2,17 @@
 
 import pytest
 
+from repro.network.hotspot import HotspotWorkload
 from repro.network.multistage import (
     MultistageNetwork,
     NetworkMessage,
     Workload,
 )
-from repro.network.netbackoff import ExponentialRetryBackoff, ImmediateRetry
+from repro.network.netbackoff import (
+    ExponentialRetryBackoff,
+    ImmediateRetry,
+    QueueFeedbackBackoff,
+)
 
 
 class ListWorkload(Workload):
@@ -147,3 +152,53 @@ class TestSimulation:
         network = MultistageNetwork(num_ports=8)
         with pytest.raises(ValueError):
             network.run(ListWorkload([]), horizon=0)
+
+    @pytest.mark.parametrize("source, dest", [(8, 0), (0, 8), (0, -1)])
+    def test_out_of_range_port_raises_at_its_first_attempt(self, source, dest):
+        network = MultistageNetwork(num_ports=8)
+        bad = NetworkMessage(source=source, dest=dest, issue_time=5)
+        with pytest.raises(ValueError, match="out of range"):
+            network.run(ListWorkload([bad]), horizon=10)
+
+    @pytest.mark.parametrize("source, dest", [(8, 0), (0, 8), (0, -1)])
+    def test_out_of_range_port_never_attempted_is_ignored(self, source, dest):
+        # Routing (and so the range check) happens at a message's first
+        # attempt; one issued at or after the horizon is never routed, and
+        # does not disturb the pending count of any valid destination.
+        good = NetworkMessage(source=1, dest=7, issue_time=0)
+        bad = NetworkMessage(source=source, dest=dest, issue_time=10)
+        network = MultistageNetwork(num_ports=8)
+        result = network.run(ListWorkload([good, bad]), horizon=10)
+        assert result.completed == 1
+        assert result.attempts == 1
+        assert bad.attempts == 0
+        # A valid dest counts the message as outstanding; an invalid one
+        # (including -1) counts nowhere.
+        expected = [0] * 8
+        if 0 <= dest < 8:
+            expected[dest] = 1
+        assert network._dest_pending == expected
+
+
+class TestReentrancy:
+    def test_second_run_matches_a_fresh_network(self):
+        # Link reservations and the per-destination pending counts (the
+        # queue-feedback signal) must not leak from one run into the next.
+        def run(network):
+            result = network.run(
+                HotspotWorkload(num_ports=16, hot_fraction=0.2, seed=0), 500
+            )
+            return (
+                result.completed,
+                result.collisions,
+                result.attempts,
+                result.latency.mean,
+                result.collision_depths.items(),
+            )
+
+        def network():
+            return MultistageNetwork(num_ports=16, backoff=QueueFeedbackBackoff())
+
+        reused = network()
+        first = run(reused)
+        assert run(reused) == first == run(network())

@@ -136,3 +136,24 @@ class TestTreeSaturation:
         network.run(horizon=200, injection_rate=0.5, hot_fraction=0.5)
         # After a saturating run the hot queue is non-empty.
         assert network.dest_queue_length(0) >= 1
+
+
+class TestReentrancy:
+    def test_second_run_matches_a_fresh_network(self):
+        # Packets left in the switch queues by one run must not enter the next.
+        def run(network):
+            result = network.run(
+                horizon=500, injection_rate=0.4, hot_fraction=0.2, seed=1
+            )
+            return (
+                result.injected,
+                result.injection_blocked,
+                result.delivered_hot,
+                result.delivered_cold,
+                result.latency_hot.mean,
+                result.latency_cold.mean,
+            )
+
+        reused = PacketSwitchedNetwork(num_ports=8)
+        first = run(reused)
+        assert run(reused) == first == run(PacketSwitchedNetwork(num_ports=8))
