@@ -67,11 +67,11 @@ def add_parser(sub) -> None:
 
 def cmd(args) -> int:
     from repro.exec.plan import FaultOptions, RunPlan, execute
-    from repro.faults.runner import CheckpointMismatchError
+    from repro.exec.supervisor import CheckpointMismatchError
 
-    # The faults subcommand owns its retry/checkpoint flags (they
-    # configure the fault runner, not the supervisor), so the plan is
-    # assembled here rather than via plan_from_args.
+    # The faults subcommand owns its retry/checkpoint flags (the fault
+    # runner turns them into the sweep's supervisor config), so the
+    # plan is assembled here rather than via plan_from_args.
     try:
         plan = RunPlan(
             experiment_id=args.id,

@@ -56,7 +56,8 @@ from repro.barrier.metrics import (
     EpisodeSummary,
     aggregate_from_summaries,
 )
-from repro.exec.cache import ResultCache, cache_key, canonical_payload
+# canonical_payload stays importable here: perfbench/spans.py wraps it.
+from repro.exec.cache import ResultCache, cache_key, canonical_payload  # noqa: F401
 from repro.exec.context import (
     DEFAULT_CONFIG,
     ExecConfig,
@@ -67,10 +68,12 @@ from repro.exec.context import (
 from repro.exec.shards import make_shard_task, make_tree_shard_task, shard_bounds
 from repro.exec.supervisor import (
     COMPLETED,
+    FAILED,
     PointRecord,
     call_supervised,
     get_supervisor_config,
     open_experiment_checkpoint,
+    resolve_entry,
     run_supervised,
 )
 from repro.obs.tracer import NULL_TRACER, get_tracer, tracing
@@ -401,6 +404,21 @@ def execute_barrier_points(
 # -- registry experiment points -----------------------------------------
 
 
+@dataclass
+class FaultSweepOutcome:
+    """What :func:`execute_experiment_points` did with a fault-plan sweep."""
+
+    #: One durable record per point that ran or was reused, in
+    #: submission order, FAILED ones included; points cut off by
+    #: ``max_points`` or an interrupt are absent.
+    records: Dict[str, PointRecord]
+    #: How each record was obtained: checkpoint, cache, pool or inline.
+    sources: Dict[str, str]
+    #: Attempts beyond the first, summed over the points that ran.
+    retries: int = 0
+    interrupted: bool = False
+
+
 def _emit_experiment_point(
     tracer, experiment_id: str, point_key: str, source: str
 ) -> None:
@@ -418,21 +436,28 @@ def _emit_experiment_point(
     )
 
 
-def _run_experiment_point_inline(experiment_id: str, kwargs: dict) -> Any:
-    """Run one point in-process exactly as a pool worker would.
+def _run_task_inline(entry: str, task: dict) -> Any:
+    """Run one pool task in-process exactly as a pool worker would.
 
     The ambient exec config is dropped for the duration (so a sweep
-    inside ``run_point`` cannot recursively re-enter the engine) and
+    inside the point cannot recursively re-enter the engine) and
     simulator tracing is suppressed — the same environment
     ``reset_worker_state`` gives a forked worker, which is what keeps
     ``jobs=1`` and ``jobs=N`` runs event-identical.
     """
-    from repro.registry.spec import get_spec
+    with execution(DEFAULT_CONFIG), tracing(NULL_TRACER):
+        return resolve_entry(entry)(task)
 
-    spec = get_spec(experiment_id)
-    with execution(DEFAULT_CONFIG):
-        with tracing(NULL_TRACER):
-            return canonical_payload(spec.run_point(**kwargs))
+
+def _failed_record(
+    point_key: str, error: BaseException, attempts: int
+) -> PointRecord:
+    return PointRecord(
+        key=point_key,
+        status=FAILED,
+        attempts=attempts,
+        error=f"{type(error).__name__}: {error}",
+    )
 
 
 def execute_experiment_points(
@@ -440,24 +465,35 @@ def execute_experiment_points(
     points: Dict[str, dict],
     seed: int,
     config: Optional[ExecConfig] = None,
-) -> Dict[str, Any]:
+    fault_plan: Optional[str] = None,
+    max_points: Optional[int] = None,
+) -> Any:
     """Execute registry points under ``config``; results in ``points`` order.
 
     The registry analogue of :func:`execute_barrier_points`, at point
-    granularity: each ``{point_key: run_point_kwargs}`` entry is looked
-    up in the cache (key: experiment id, point key, canonical kwargs,
+    granularity, and the one executor behind plain and fault-plan
+    sweeps: each ``{point_key: run_point_kwargs}`` entry is looked up
+    in the cache (key: experiment id, point key, canonical kwargs,
     seed, code digest), missed points fan out whole across the worker
-    pool when ``jobs > 1``, and cache-only mode runs them inline under
-    the null tracer.  Payloads are strict-JSON in every path, so the
-    aggregate sees identical inputs cold, warm, serial or parallel.
+    pool when ``jobs > 1``, and cache-only mode runs them inline, in
+    the environment a pool worker gets.  Payloads are strict-JSON in
+    every path, so the aggregate sees identical inputs cold, warm,
+    serial or parallel.
 
     When the ambient :class:`~repro.exec.supervisor.SupervisorConfig`
-    names a ``checkpoint_dir``, every point's payload is additionally
-    recorded as an atomic digest-verified checkpoint the moment it is
+    names a ``checkpoint_dir``, every point's record is additionally
+    saved as an atomic digest-verified checkpoint the moment it is
     known (computed, cached, or resumed), and ``resume=True`` replays
     compatible records from a prior interrupted run before consulting
-    the cache — the faults runner's durability, generalized to every
-    registry experiment.
+    the cache.  A plain sweep returns ``{point_key: payload}`` and
+    raises the first point error.
+
+    With ``fault_plan`` (a plan spec) each point runs under its own
+    derived fault plan (the ``fault_point`` entry), the cache address
+    and checkpoint identity also cover the spec, and the call returns a
+    :class:`FaultSweepOutcome`: a point that exhausts its retries
+    becomes a FAILED record, an interrupt ends the sweep cleanly, and
+    ``max_points`` bounds how many points run afresh.
     """
     if config is None:
         config = get_exec_config()
@@ -465,97 +501,164 @@ def execute_experiment_points(
     stats = get_stats()
     tracer = get_tracer()
     cache = ResultCache(config.cache_dir) if config.cache else None
+    faulty = fault_plan is not None
+    entry = "fault_point" if faulty else "experiment_point"
+    if faulty:
+        from repro.faults.runner import fault_point_cache_key
 
     checkpoint = None
-    resumed: Dict[str, Any] = {}
+    prior: Dict[str, PointRecord] = {}
     if supervisor.checkpoint_dir:
-        checkpoint, records = open_experiment_checkpoint(
-            experiment_id, points, seed, supervisor
+        checkpoint, prior = open_experiment_checkpoint(
+            experiment_id, points, seed, supervisor, plan_spec=fault_plan
         )
-        resumed = {
-            key: record.data
-            for key, record in records.items()
-            if record.done and key in points
-        }
 
-    def _record(point_key: str, payload: Any) -> None:
+    def save(record: PointRecord) -> None:
         if checkpoint is not None:
-            checkpoint.save_point(
-                PointRecord(key=point_key, status=COMPLETED, data=payload)
-            )
+            checkpoint.save_point(record)
 
-    results: Dict[str, Any] = {}
-    #: (point key, kwargs, cache address or None) still needing a run.
+    def as_record(point_key: str, value: Any) -> PointRecord:
+        # A fault point's entry returns its classified record already.
+        if faulty:
+            return value
+        return PointRecord(key=point_key, status=COMPLETED, data=value)
+
+    records: Dict[str, PointRecord] = {}
+    sources: Dict[str, str] = {}
+
+    def land(
+        point_key: str,
+        record: PointRecord,
+        source: str,
+        address: Optional[str] = None,
+    ) -> None:
+        records[point_key] = record
+        sources[point_key] = source
+        if address is not None and cache is not None and record.done:
+            cache.put(address, record.to_dict() if faulty else record.data)
+            stats.cache_stores += 1
+        _emit_experiment_point(tracer, experiment_id, point_key, source)
+
+    #: (point key, pool task, cache address or None) still needing a run.
     pending: List[Tuple[str, dict, Optional[str]]] = []
 
     for point_key, kwargs in points.items():
         stats.points += 1
-        if point_key in resumed:
+        record = prior.get(point_key)
+        if record is not None and record.done:
             stats.points_resumed += 1
             tracer.count("exec.points_resumed")
-            results[point_key] = resumed[point_key]
-            _emit_experiment_point(
-                tracer, experiment_id, point_key, "checkpoint"
-            )
+            land(point_key, record, "checkpoint")
             continue
         address: Optional[str] = None
         if cache is not None:
-            # The backend knob never enters the address: backends are
-            # bit-identical, so a cache warmed under one serves the
-            # other (mirrors PointSpec.params()).
-            keyed = {k: v for k, v in kwargs.items() if k != "backend"}
-            address = cache_key(
-                f"{EXPERIMENT_KIND}:{experiment_id}",
-                {"point": point_key, "params": keyed},
-                seed,
-            )
+            if faulty:
+                address = fault_point_cache_key(
+                    experiment_id, fault_plan, seed, point_key, kwargs
+                )
+            else:
+                # The backend knob never enters the address: backends
+                # are bit-identical, so a cache warmed under one serves
+                # the other (mirrors PointSpec.params()).
+                keyed = {k: v for k, v in kwargs.items() if k != "backend"}
+                address = cache_key(
+                    f"{EXPERIMENT_KIND}:{experiment_id}",
+                    {"point": point_key, "params": keyed},
+                    seed,
+                )
             payload = cache.get(address)
             if payload is not None:
-                stats.cache_hits += 1
-                results[point_key] = payload
-                _record(point_key, payload)
-                _emit_experiment_point(tracer, experiment_id, point_key, "cache")
-                continue
+                if faulty:
+                    record = PointRecord.from_dict(payload)
+                else:
+                    record = as_record(point_key, payload)
+                if record.done:
+                    stats.cache_hits += 1
+                    save(record)
+                    land(point_key, record, "cache")
+                    continue
             stats.cache_misses += 1
-        pending.append((point_key, kwargs, address))
+        task = {"experiment_id": experiment_id, "kwargs": kwargs}
+        if faulty:
+            task.update(plan_spec=fault_plan, seed=seed, key=point_key)
+        pending.append((point_key, task, address))
+
+    interrupted = False
+    if max_points is not None and len(pending) > max_points:
+        pending, interrupted = pending[:max_points], True
+    retries = 0
 
     if config.jobs > 1 and pending:
-        tasks = {
-            point_key: {"experiment_id": experiment_id, "kwargs": kwargs}
-            for point_key, kwargs, __ in pending
-        }
-        # on_result checkpoints each point the moment its future lands,
-        # so a crash after N points preserves N points; cache stores
-        # and event emission stay in submission order below for
-        # deterministic stats and digests.
-        outcome = run_supervised(
-            tasks,
-            entry="experiment_point",
-            get_pool=lambda: _get_pool(config.jobs),
-            discard_pool=lambda: _discard_pool(config.jobs),
-            on_result=_record,
-        )
-        outcome.raise_first_error(tasks)
-        for point_key, kwargs, address in pending:
-            payload = outcome.results[point_key]
-            results[point_key] = payload
-            stats.parallel_points += 1
-            if address is not None and cache is not None:
-                cache.put(address, payload)
-                stats.cache_stores += 1
-            _emit_experiment_point(tracer, experiment_id, point_key, "pool")
-    else:
-        for point_key, kwargs, address in pending:
-            payload = call_supervised(
-                lambda kwargs=kwargs: _run_experiment_point_inline(
-                    experiment_id, kwargs
-                )
-            )
-            results[point_key] = payload
-            if address is not None and cache is not None:
-                cache.put(address, payload)
-                stats.cache_stores += 1
-            _record(point_key, payload)
-            _emit_experiment_point(tracer, experiment_id, point_key, "inline")
+        tasks = {point_key: task for point_key, task, __ in pending}
+        fresh: Dict[str, PointRecord] = {}
 
-    return {point_key: results[point_key] for point_key in points}
+        def landed(point_key: str, value: Any) -> None:
+            # Checkpoint each point the moment its future lands, so a
+            # crash after N points preserves N points; cache stores and
+            # event emission stay in submission order below for
+            # deterministic stats and digests.
+            fresh[point_key] = as_record(point_key, value)
+            save(fresh[point_key])
+
+        try:
+            outcome = run_supervised(
+                tasks,
+                entry=entry,
+                get_pool=lambda: _get_pool(config.jobs),
+                discard_pool=lambda: _discard_pool(config.jobs),
+                on_result=landed,
+            )
+        except KeyboardInterrupt:
+            if not faulty:
+                raise
+            interrupted = True
+        else:
+            if not faulty:
+                outcome.raise_first_error(tasks)
+            retries = outcome.retries
+            for point_key, record in fresh.items():
+                record.attempts = outcome.attempts[point_key]
+            for point_key, error in outcome.errors.items():
+                fresh[point_key] = _failed_record(
+                    point_key, error, outcome.attempts[point_key]
+                )
+                save(fresh[point_key])
+        for point_key, __, address in pending:
+            if point_key in fresh:
+                stats.parallel_points += 1
+                land(point_key, fresh[point_key], "pool", address)
+    else:
+        # call_supervised applies the ambient retry/deadline discipline
+        # (a plain call under the default config).
+        for point_key, task, address in pending:
+            attempts = 0
+
+            def attempt(task: dict = task) -> Any:
+                nonlocal attempts
+                attempts += 1
+                return _run_task_inline(entry, task)
+
+            try:
+                record = as_record(point_key, call_supervised(attempt))
+            except KeyboardInterrupt:
+                if not faulty:
+                    raise
+                interrupted = True
+                break
+            except Exception as error:  # noqa: BLE001 - resilience boundary
+                if not faulty:
+                    raise
+                record = _failed_record(point_key, error, attempts)
+            record.attempts = attempts
+            retries += attempts - 1
+            save(record)
+            land(point_key, record, "inline", address)
+
+    if faulty:
+        return FaultSweepOutcome(
+            records={key: records[key] for key in points if key in records},
+            sources=sources,
+            retries=retries,
+            interrupted=interrupted,
+        )
+    return {point_key: records[point_key].data for point_key in points}

@@ -103,9 +103,9 @@ def resolve_exec_config(
 class FaultOptions:
     """Resilient-runner knobs that only apply under a fault plan.
 
-    Field-for-field the keyword surface of
-    :func:`repro.faults.runner.run_experiment_resilient`; defaults
-    match the historical ``python -m repro faults`` defaults.
+    :func:`repro.faults.runner.run_plan_resilient` turns them into one
+    :class:`~repro.exec.supervisor.SupervisorConfig`; defaults match
+    the historical ``python -m repro faults`` defaults.
     """
 
     checkpoint_dir: Optional[str] = None

@@ -16,8 +16,11 @@ what ran before it in that process.
 Workers are forked from a live parent and inherit its process-global
 registries — an active tracer (possibly holding an open JSONL sink), a
 fault plan, an exec config.  :func:`reset_worker_state` clears all
-three at shard entry so a worker can neither corrupt the parent's sink
-nor recursively re-enter the exec engine.
+three before every task (:func:`repro.exec.supervisor
+.run_supervised_task` calls it), so a worker can neither corrupt the
+parent's sink nor recursively re-enter the exec engine.  The entries
+themselves are plain functions of their task, which is what lets the
+engine run the same entry inline at ``jobs=1``.
 """
 
 from __future__ import annotations
@@ -135,7 +138,6 @@ def run_experiment_point(task: Dict[str, Any]) -> Any:
     payload ``run_point`` produced, round-tripped through strict JSON
     so pool, cache and inline paths hand the aggregate the same object.
     """
-    reset_worker_state()
     from repro.exec.cache import canonical_payload
     from repro.registry.spec import get_spec
 
@@ -149,7 +151,6 @@ def run_barrier_shard(task: Dict[str, Any]) -> List[tuple]:
     Top-level by design: pool workers receive this function by
     reference, so it must be importable, not a closure.
     """
-    reset_worker_state()
     # Imported here, not at module top: repro.barrier.simulator imports
     # repro.exec.context, so a top-level import would make package
     # initialisation order-dependent.
@@ -176,7 +177,6 @@ def run_tree_shard(task: Dict[str, Any]) -> List[tuple]:
     Top-level and lazily importing for the same reasons as
     :func:`run_barrier_shard`.
     """
-    reset_worker_state()
     from repro.barrier.tree import build_tree_simulator
 
     simulator = build_tree_simulator(

@@ -24,9 +24,8 @@ recovery primitives every dispatch path shares:
    Pool workers run tasks on their own main thread, so worker-side
    deadlines always engage on POSIX.
 4. :class:`CheckpointStore` / :class:`PointRecord` — atomic,
-   digest-verified per-point checkpoints (moved here from
-   :mod:`repro.faults.runner`, which re-exports them), so *every*
-   registry experiment — not just the faults CLI — can resume a crashed
+   digest-verified per-point checkpoints, so *every* registry
+   experiment — plain or under a fault plan — can resume a crashed
    sweep from disk.  A truncated or hand-edited record reads as absent
    and is recomputed, never trusted.
 
@@ -304,7 +303,7 @@ class SupervisorConfig:
             raise ValueError(
                 f"deadline_seconds must be positive, got {self.deadline_seconds}"
             )
-        parse_backoff_spec(self.backoff)  # fail at construction, not mid-sweep
+        self.retry_policy()  # fail at construction, not mid-sweep
 
     @property
     def active(self) -> bool:
@@ -404,29 +403,31 @@ class ChaosPlan:
         }
 
 
-_chaos: Optional[ChaosPlan] = None
+_chaos: AmbientState = AmbientState("exec.chaos", None)
 
 
 def get_chaos_plan() -> Optional[ChaosPlan]:
-    """The installed chaos plan, or None (the overwhelmingly common case)."""
-    return _chaos
+    """The installed chaos plan — this thread's innermost
+    :func:`chaos_injection` override, else the process default — or
+    None (the overwhelmingly common case)."""
+    return _chaos.get()
 
 
 def set_chaos_plan(plan: Optional[ChaosPlan]) -> Optional[ChaosPlan]:
-    global _chaos
-    previous = _chaos
-    _chaos = plan
+    """Install the process-wide default plan; returns the previous one."""
+    previous = _chaos.get_default()
+    _chaos.set(plan)
     return previous
 
 
 @contextmanager
 def chaos_injection(plan: ChaosPlan) -> Iterator[ChaosPlan]:
-    """Context manager: install ``plan`` for the duration of the block."""
-    previous = set_chaos_plan(plan)
-    try:
+    """Context manager: install ``plan`` for the duration of the block.
+
+    Thread-scoped, so one thread's chaos never marks another thread's
+    supervised tasks."""
+    with _chaos.scoped(plan):
         yield plan
-    finally:
-        set_chaos_plan(previous)
 
 
 # -- worker entry --------------------------------------------------------
@@ -452,7 +453,8 @@ def register_entry(name: str, target: str) -> None:
     _ENTRIES[name] = target
 
 
-def _resolve_entry(name: str) -> Callable[[Any], Any]:
+def resolve_entry(name: str) -> Callable[[Any], Any]:
+    """The callable a task entry name refers to."""
     try:
         target = _ENTRIES[name]
     except KeyError:
@@ -464,14 +466,19 @@ def _resolve_entry(name: str) -> Callable[[Any], Any]:
 def run_supervised_task(task: Dict[str, Any]) -> Any:
     """Pool-worker entry for every supervised task.
 
-    Applies the chaos markers (worker suicide / pre-task hang) and the
-    per-attempt deadline, then dispatches to the named entry.  Both the
-    hang and the real work run *inside* the deadline, which is how a
-    hung point is cut short instead of stalling the sweep.
+    Applies the chaos markers (worker suicide / pre-task hang), drops
+    the state the worker inherited from its parent
+    (:func:`repro.exec.shards.reset_worker_state`) and the per-attempt
+    deadline, then dispatches to the named entry.  Both the hang and
+    the real work run *inside* the deadline, which is how a hung point
+    is cut short instead of stalling the sweep.
     """
+    from repro.exec.shards import reset_worker_state
+
     if task.get("chaos_kill"):
         os.kill(os.getpid(), signal.SIGKILL)
-    entry = _resolve_entry(task["entry"])
+    entry = resolve_entry(task["entry"])
+    reset_worker_state()
     with time_limit(task.get("deadline_seconds")):
         hang = task.get("chaos_hang_seconds")
         if hang:
@@ -514,8 +521,7 @@ def run_supervised(
 ) -> SupervisionOutcome:
     """Fan ``tasks`` (key → picklable payload) across a supervised pool.
 
-    The single fan-out primitive behind the exec engine and the faults
-    runner.  Work proceeds in rounds: every pending key is submitted,
+    The single fan-out primitive behind the exec engine.  Work proceeds in rounds: every pending key is submitted,
     results are collected, and three failure classes are handled
     distinctly —
 
@@ -808,37 +814,41 @@ def open_experiment_checkpoint(
     points: Dict[str, dict],
     seed: int,
     config: SupervisorConfig,
+    plan_spec: Optional[str] = None,
 ) -> Tuple[CheckpointStore, Dict[str, PointRecord]]:
     """The universal checkpoint for one registry experiment's point set.
 
     Called by :func:`repro.exec.engine.execute_experiment_points` when
-    ``config.checkpoint_dir`` is set: every registry experiment — not
-    just the faults runner — gains ``--checkpoint-dir``/``--resume``.
-    Without ``resume`` any prior checkpoint in the directory is
+    ``config.checkpoint_dir`` is set, for plain and fault-plan sweeps
+    alike.  Without ``resume`` any prior checkpoint in the directory is
     discarded; with it, records whose configuration digest matches are
     loaded (a mismatch raises :class:`CheckpointMismatchError` rather
     than silently mixing sweeps) and digest-verified point-by-point.
+    A fault sweep's identity also covers its ``plan_spec``.
     """
-    digest = config_digest(
-        {
-            "kind": "experiment",
-            "experiment_id": experiment_id,
-            "seed": seed,
-            "points": {key: kwargs for key, kwargs in points.items()},
-        }
-    )
+    identity: Dict[str, Any] = {
+        "experiment_id": experiment_id,
+        "seed": seed,
+        "points": {key: kwargs for key, kwargs in points.items()},
+    }
+    if plan_spec is None:
+        identity["kind"] = "experiment"
+    else:
+        identity["plan_spec"] = plan_spec
+    digest = config_digest(identity)
     store = CheckpointStore(config.checkpoint_dir)
     if config.resume:
         existing = store.load(digest)
     else:
         store.clear()
         existing = {}
-    store.write_meta(
-        {
-            "experiment_id": experiment_id,
-            "seed": seed,
-            "config_digest": digest,
-            "points": sorted(points),
-        }
-    )
+    meta = {
+        "experiment_id": experiment_id,
+        "seed": seed,
+        "config_digest": digest,
+        "points": sorted(points),
+    }
+    if plan_spec is not None:
+        meta["plan_spec"] = plan_spec
+    store.write_meta(meta)
     return store, existing

@@ -10,9 +10,10 @@ Layer map:
   module outages, grant drop/dup, flaky flag reads, event jitter).
 - :mod:`repro.faults.spec` — the ``--plan`` text grammar and named
   plans (``chaos``, ``lossy-net``, ...).
-- :mod:`repro.faults.runner` — checkpoint/resume, per-point timeouts,
-  bounded retry, and the resilience summary behind
-  ``python -m repro faults``.
+- :mod:`repro.faults.runner` — per-point derived plans, the
+  degraded/completed classification and the resilience summary behind
+  ``python -m repro faults``; checkpoints, retries, deadlines and the
+  pool come from the exec engine every sweep shares.
 """
 
 from repro.faults.plan import (
@@ -35,28 +36,25 @@ from repro.faults.injectors import (
 )
 from repro.faults.spec import INJECTOR_FACTORIES, NAMED_PLANS, parse_plan
 
-#: Runner symbols resolved lazily (PEP 562): the runner pulls in
-#: repro.sim / repro.obs / repro.analysis, and the simulators import
-#: *this* package at load time — an eager import here would cycle.
-_RUNNER_EXPORTS = frozenset(
-    {
-        "CheckpointMismatchError",
-        "CheckpointStore",
-        "PointRecord",
-        "PointTimeoutError",
-        "ResilienceSummary",
-        "run_experiment_resilient",
-        "run_resilient_sweep",
-        "time_limit",
-    }
-)
+#: Resilience symbols resolved lazily (PEP 562): the runner and the
+#: supervisor pull in repro.sim / repro.obs / repro.exec, and the
+#: simulators import *this* package at load time — an eager import here
+#: would cycle.
+_LAZY_EXPORTS = {
+    "CheckpointMismatchError": "repro.exec.supervisor",
+    "CheckpointStore": "repro.exec.supervisor",
+    "PointRecord": "repro.exec.supervisor",
+    "PointTimeoutError": "repro.exec.supervisor",
+    "time_limit": "repro.exec.supervisor",
+    "ResilienceSummary": "repro.faults.runner",
+}
 
 
 def __getattr__(name: str):
-    if name in _RUNNER_EXPORTS:
-        from repro.faults import runner
+    if name in _LAZY_EXPORTS:
+        import importlib
 
-        return getattr(runner, name)
+        return getattr(importlib.import_module(_LAZY_EXPORTS[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
@@ -82,7 +80,5 @@ __all__ = [
     "PointRecord",
     "PointTimeoutError",
     "ResilienceSummary",
-    "run_experiment_resilient",
-    "run_resilient_sweep",
     "time_limit",
 ]

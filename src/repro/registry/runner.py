@@ -1,8 +1,9 @@
 """Run registered experiments: resolve params, dispatch points, aggregate.
 
 This is the single entry point behind ``python -m repro
-experiment/run/profile``, the faults resilient runner, and the
-benchmark harness.  Dispatch:
+experiment/run/profile``, every fault-plan point
+(:func:`repro.faults.runner.run_fault_point_task`), and the benchmark
+harness.  Dispatch:
 
 - **Serial** (default, and always when a fault plan is installed,
   because injectors keep process-global state): every point's
@@ -67,8 +68,8 @@ def experiment_points(experiment_id: str, **overrides: Any) -> Dict[str, dict]:
 
     Returns an ordered mapping ``{point_key: runner_kwargs}`` such that
     running the experiment once per entry covers the same parameter
-    space as one full run — the unit of checkpointing for the resilient
-    runner (:func:`repro.faults.runner.run_experiment_resilient`).
+    space as one full run — the unit of checkpointing for fault-plan
+    sweeps (:func:`repro.faults.runner.run_plan_resilient`).
     Each point carries only the caller's overrides, with the spec's
     sweep axis pinned to a single value (keys like ``"N=64"``);
     experiments with no axis run as one point keyed ``"all"``.

@@ -85,7 +85,8 @@ class ServeConfig:
     cache_dir: str = DEFAULT_CACHE_DIR
     #: Simultaneous jobs (thread pool width).
     concurrency: int = 1
-    #: Supervisor retries per point for plain experiment jobs.
+    #: Supervisor retries per point for served jobs (plain and
+    #: fault-plan alike).
     retries: int = 1
     #: Per-point deadline in seconds (None = unbounded).
     deadline: Optional[float] = None
@@ -412,6 +413,7 @@ class ExperimentService:
                 faults=FaultOptions(
                     checkpoint_dir=self._scratch("faults", job),
                     timeout_seconds=config.deadline,
+                    max_retries=config.retries,
                 ),
             )
         outcome = execute(plan)

@@ -177,19 +177,19 @@ class TestSerialParallelEquivalence:
         assert digests[1] == digests[2]
 
     def test_faults_sweep_matches_serial(self, tmp_path):
-        from repro.faults.runner import run_experiment_resilient
+        from tests.test_faults import run_faults
 
         summaries = {}
         for jobs in (1, 4):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                summaries[jobs] = run_experiment_resilient(
+                summaries[jobs] = run_faults(
                     "figure5",
                     plan_spec="stragglers",
                     seed=7,
-                    checkpoint_dir=str(tmp_path / f"jobs{jobs}"),
+                    params={"repetitions": 1},
                     jobs=jobs,
-                    repetitions=1,
+                    checkpoint_dir=str(tmp_path / f"jobs{jobs}"),
                 )
         serial, parallel = summaries[1], summaries[4]
         assert serial.failed == 0 and parallel.failed == 0
@@ -288,17 +288,16 @@ class TestCachedExecution:
         assert stats.cache_misses == 0 and stats.cache_stores == 0
 
     def test_faults_cache_warm_run(self, tmp_path):
-        from repro.faults.runner import run_experiment_resilient
+        from tests.test_faults import run_faults
 
         def run_once(tag):
-            return run_experiment_resilient(
+            return run_faults(
                 "figure5",
                 plan_spec="stragglers",
                 seed=7,
-                checkpoint_dir=str(tmp_path / tag),
-                use_cache=True,
+                params={"repetitions": 1},
                 cache_dir=str(tmp_path / "cache"),
-                repetitions=1,
+                checkpoint_dir=str(tmp_path / tag),
             )
 
         cold = run_once("cold")

@@ -14,10 +14,13 @@ Three properties anchor everything here:
 
 import json
 import os
+import time
 
 import pytest
 
 from repro.core.backoff import ExponentialFlagBackoff, NoBackoff
+from repro.exec.context import DEFAULT_CACHE_DIR, ExecConfig
+from repro.exec.plan import FaultOptions, RunPlan, execute, summary_digest
 from repro.faults import (
     CheckpointMismatchError,
     CheckpointStore,
@@ -36,10 +39,105 @@ from repro.faults import (
     get_fault_plan,
     install_fault_plan,
     parse_plan,
-    run_resilient_sweep,
 )
 from repro.faults.runner import COMPLETED, DEGRADED, FAILED, build_point_plan
+from repro.registry.result import ExperimentResult
+from repro.registry.spec import ExperimentSpec, Param
 from repro.sim.rng import spawn_stream
+
+
+def run_faults(
+    experiment_id, plan_spec="none", seed=0, params=None, jobs=1,
+    cache_dir=None, **options,
+):
+    """One fault-plan sweep through ``execute(RunPlan(...))``.
+
+    ``options`` are :class:`FaultOptions` fields; ``cache_dir`` turns
+    the result cache on.  Returns the resilience summary.
+    """
+    plan = RunPlan(
+        experiment_id=experiment_id,
+        params=params or {},
+        seed=seed,
+        exec_config=ExecConfig(
+            jobs=jobs,
+            cache=cache_dir is not None,
+            cache_dir=cache_dir or DEFAULT_CACHE_DIR,
+        ),
+        fault_plan=plan_spec,
+        faults=FaultOptions(**options),
+    )
+    return execute(plan).summary
+
+
+# -- a registered experiment whose points misbehave on demand -----------
+
+#: Per-app queue of actions the next runs of that point take, in order
+#: (``fail``, ``sleep``, ``interrupt``); an empty queue means succeed.
+SCRIPT = {}
+#: Every app whose point ran, in call order.
+CALLS = []
+
+
+def _scripted_point(apps):
+    (app,) = apps
+    CALLS.append(app)
+    actions = SCRIPT.get(app, [])
+    action = actions.pop(0) if actions else "ok"
+    if action == "fail":
+        raise RuntimeError("kaboom")
+    if action == "sleep":
+        time.sleep(5)
+    if action == "interrupt":
+        raise KeyboardInterrupt
+    return {"app": app}
+
+
+SCRIPTED = ExperimentSpec(
+    id="scripted",
+    title="scripted points",
+    section="tests",
+    summary="points that fail, sleep or interrupt on demand",
+    params=(Param("apps", "strs", ("a", "b", "c")),),
+    run_point=_scripted_point,
+    aggregate=lambda payloads, params: ExperimentResult(
+        "scripted", "scripted points", "", data=dict(payloads)
+    ),
+    axis="apps",
+)
+
+
+@pytest.fixture
+def scripted(monkeypatch, tmp_path):
+    """Register SCRIPTED; returns a runner for sweeps over it."""
+    from repro.registry import spec as registry
+
+    registry.load_specs()
+    monkeypatch.setitem(registry._REGISTRY, SCRIPTED.id, SCRIPTED)
+    SCRIPT.clear()
+    del CALLS[:]
+
+    def run(**options):
+        options.setdefault("checkpoint_dir", str(tmp_path / "ck"))
+        return run_faults(SCRIPTED.id, **options)
+
+    return run
+
+
+@pytest.fixture
+def waits(monkeypatch):
+    """Record every retry wait the schedule asks for, and skip the sleep."""
+    from repro.exec.supervisor import RetryPolicy
+
+    recorded = []
+    schedule = RetryPolicy.wait_seconds
+
+    def record(self, failures):
+        recorded.append(schedule(self, failures))
+        return 0.0
+
+    monkeypatch.setattr(RetryPolicy, "wait_seconds", record)
+    return recorded
 
 
 @pytest.fixture(autouse=True)
@@ -326,108 +424,76 @@ class TestBoundedLocks:
 
 
 class TestSweepRunner:
-    @staticmethod
-    def _ok_point(key):
-        return lambda: PointRecord(key=key, status=COMPLETED, data={"v": key})
+    """Retry, resume and interrupt behaviour of a fault-plan sweep."""
 
-    def test_all_points_complete(self):
-        points = {k: self._ok_point(k) for k in ("a", "b", "c")}
-        records, resumed, retried, interrupted = run_resilient_sweep(points)
-        assert sorted(records) == ["a", "b", "c"]
-        assert (resumed, retried, interrupted) == (0, 0, False)
+    def test_all_points_complete(self, scripted):
+        summary = scripted()
+        assert list(summary.records) == ["app=a", "app=b", "app=c"]
+        assert summary.completed == 3
+        assert (summary.resumed, summary.retried) == (0, 0)
+        assert not summary.interrupted
 
-    def test_existing_records_resumed_not_recomputed(self):
-        ran = []
+    def test_existing_records_resumed_not_recomputed(self, scripted):
+        first = scripted()
+        del CALLS[:]
+        second = scripted()
+        assert CALLS == []
+        assert second.resumed == 3
+        assert summary_digest(second) == summary_digest(first)
 
-        def point():
-            ran.append(1)
-            return PointRecord(key="a", status=COMPLETED)
+    def test_failed_prior_records_are_retried(self, scripted):
+        SCRIPT["a"] = ["fail"]
+        first = scripted(max_retries=0)
+        assert first.records["app=a"].status == FAILED
+        del CALLS[:]
+        second = scripted(max_retries=0)
+        assert CALLS == ["a"]
+        assert second.resumed == 2
+        assert second.records["app=a"].status == COMPLETED
 
-        prior = PointRecord(key="a", status=COMPLETED)
-        records, resumed, __, __ = run_resilient_sweep(
-            {"a": point}, existing={"a": prior}
-        )
-        assert ran == []
-        assert resumed == 1
-        assert records["a"] is prior
+    def test_crashing_point_retried_then_failed(self, scripted, waits):
+        SCRIPT["a"] = ["fail"] * 3
+        summary = scripted(max_retries=2, retry_backoff_seconds=0.5)
+        assert CALLS.count("a") == 3  # initial + 2 retries
+        assert summary.retried == 2
+        assert waits == [0.5, 1.0]  # exponential backoff
+        record = summary.records["app=a"]
+        assert record.status == FAILED
+        assert record.attempts == 3
+        assert "kaboom" in record.error
+        assert summary.completed == 2 and not summary.ok
 
-    def test_failed_prior_records_are_retried(self):
-        prior = PointRecord(key="a", status=FAILED)
-        records, resumed, __, __ = run_resilient_sweep(
-            {"a": self._ok_point("a")}, existing={"a": prior}
-        )
-        assert resumed == 0
-        assert records["a"].status == COMPLETED
+    def test_transient_crash_recovers(self, scripted, waits):
+        SCRIPT["a"] = ["fail"]
+        summary = scripted()
+        assert summary.records["app=a"].status == COMPLETED
+        assert summary.records["app=a"].attempts == 2
+        assert summary.retried == 1
+        assert waits == [0.05]
 
-    def test_crashing_point_retried_then_failed(self):
-        calls = []
+    def test_max_points_interrupts(self, scripted):
+        summary = scripted(max_points=2)
+        assert summary.interrupted
+        assert list(summary.records) == ["app=a", "app=b"]
+        assert CALLS == ["a", "b"]
 
-        def crash():
-            calls.append(1)
-            raise RuntimeError("kaboom")
+    def test_keyboard_interrupt_stops_cleanly(self, scripted):
+        SCRIPT["b"] = ["interrupt"]
+        summary = scripted()
+        assert summary.interrupted
+        assert list(summary.records) == ["app=a"]
+        assert CALLS == ["a", "b"]
+        # The point finished before the interrupt was checkpointed.
+        resumed = scripted()
+        assert resumed.resumed == 1
+        assert resumed.ok and not resumed.interrupted
 
-        slept = []
-        records, __, retried, __ = run_resilient_sweep(
-            {"a": crash}, max_retries=2, retry_backoff_seconds=0.5,
-            sleep=slept.append,
-        )
-        assert len(calls) == 3  # initial + 2 retries
-        assert retried == 2
-        assert slept == [0.5, 1.0]  # exponential backoff
-        assert records["a"].status == FAILED
-        assert "kaboom" in records["a"].error
-
-    def test_transient_crash_recovers(self):
-        state = {"left": 1}
-
-        def flaky():
-            if state["left"]:
-                state["left"] -= 1
-                raise RuntimeError("transient")
-            return PointRecord(key="a", status=COMPLETED)
-
-        records, __, retried, __ = run_resilient_sweep(
-            {"a": flaky}, retry_backoff_seconds=0, sleep=lambda _t: None
-        )
-        assert records["a"].status == COMPLETED
-        assert records["a"].attempts >= 1
-        assert retried == 1
-
-    def test_max_points_interrupts(self):
-        points = {k: self._ok_point(k) for k in ("a", "b", "c")}
-        records, __, __, interrupted = run_resilient_sweep(
-            points, max_points=2
-        )
-        assert interrupted
-        assert len(records) == 2
-
-    def test_keyboard_interrupt_stops_cleanly(self):
-        def interrupt():
-            raise KeyboardInterrupt
-
-        done = []
-        points = {
-            "a": self._ok_point("a"),
-            "b": interrupt,
-            "c": lambda: done.append(1),
-        }
-        records, __, __, interrupted = run_resilient_sweep(points)
-        assert interrupted
-        assert done == []
-        assert list(records) == ["a"]
-
-    def test_timeout_produces_failed_record(self):
-        import time as _time
-
-        def slow():
-            _time.sleep(5)
-            return PointRecord(key="a", status=COMPLETED)
-
-        records, __, __, __ = run_resilient_sweep(
-            {"a": slow}, timeout_seconds=0.05, max_retries=0
-        )
-        assert records["a"].status == FAILED
-        assert "PointTimeoutError" in records["a"].error
+    def test_timeout_produces_failed_record(self, scripted):
+        SCRIPT["a"] = ["sleep"]
+        summary = scripted(timeout_seconds=0.05, max_retries=0)
+        assert summary.records["app=a"].status == FAILED
+        assert "PointTimeoutError" in summary.records["app=a"].error
+        assert summary.completed == 2
 
 
 class TestCheckpointStore:
@@ -513,18 +579,12 @@ class TestExperimentPoints:
 
 
 class TestEndToEndResilience:
-    def _run(self, tmp_path, **kwargs):
-        from repro.faults.runner import run_experiment_resilient
-
-        defaults = dict(
-            plan_spec="chaos",
-            seed=7,
-            checkpoint_dir=str(tmp_path / "ck"),
-            n_values=(4, 8, 16),
-            repetitions=1,
+    def _run(self, tmp_path, plan_spec="chaos", seed=7, **options):
+        options.setdefault("checkpoint_dir", str(tmp_path / "ck"))
+        return run_faults(
+            "figure5", plan_spec, seed,
+            params={"n_values": (4, 8, 16), "repetitions": 1}, **options,
         )
-        defaults.update(kwargs)
-        return run_experiment_resilient("figure5", **defaults)
 
     def test_interrupted_sweep_resumes_completely(self, tmp_path):
         first = self._run(tmp_path, max_points=1)
@@ -618,52 +678,55 @@ class TestFaultsCliCommand:
         assert main(base + ["--seed", "9"]) == 2
         assert "checkpoint" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "flag", [["--max-points", "-1"], ["--timeout", "0"]],
+        ids=["max-points", "timeout"],
+    )
+    def test_bad_bounds_are_usage_errors_at_any_jobs(
+        self, tmp_path, capsys, jobs, flag
+    ):
+        from repro.__main__ import main
+
+        checkpoint = tmp_path / "ck"
+        argv = [
+            "faults", "figure5", "--plan", "stragglers", "--repetitions", "1",
+            "--jobs", jobs, "--checkpoint-dir", str(checkpoint),
+        ]
+        assert main(argv + flag) == 2
+        assert "must be" in capsys.readouterr().err
+        assert not checkpoint.exists()
+
 
 class TestRetryPolicyPlumbing:
     """The sweep's retry waits follow the repo's own backoff policies."""
 
-    def test_linear_policy_shapes_the_wait_schedule(self):
-        from repro.exec.supervisor import RetryPolicy
-
-        def crash():
-            raise RuntimeError("kaboom")
-
-        slept = []
-        run_resilient_sweep(
-            {"a": crash}, max_retries=3, sleep=slept.append,
-            retry_policy=RetryPolicy.from_spec("linear", base_seconds=0.5),
+    def test_linear_policy_shapes_the_wait_schedule(self, scripted, waits):
+        SCRIPT["a"] = ["fail"] * 4
+        scripted(
+            max_retries=3, retry_backoff_seconds=0.5, retry_policy="linear"
         )
-        assert slept == pytest.approx([0.5, 1.0, 1.5])
+        assert waits == pytest.approx([0.5, 1.0, 1.5])
 
-    def test_none_policy_retries_immediately(self):
-        from repro.exec.supervisor import RetryPolicy
-
-        def crash():
-            raise RuntimeError("kaboom")
-
-        slept = []
-        run_resilient_sweep(
-            {"a": crash}, max_retries=2, sleep=slept.append,
-            retry_policy=RetryPolicy.from_spec("none"),
-        )
-        assert slept == [0.0, 0.0]
+    def test_none_policy_retries_immediately(self, scripted, waits):
+        SCRIPT["a"] = ["fail"] * 3
+        scripted(max_retries=2, retry_policy="none")
+        assert waits == [0.0, 0.0]
 
     def test_experiment_accepts_named_policy(self, tmp_path):
-        from repro.faults.runner import run_experiment_resilient
-
-        summary = run_experiment_resilient(
+        summary = run_faults(
             "figure5", seed=1, checkpoint_dir=str(tmp_path / "ck"),
-            n_values=(4,), repetitions=1, retry_policy="linear:step=2",
+            params={"n_values": (4,), "repetitions": 1},
+            retry_policy="linear:step=2",
         )
         assert summary.ok
 
     def test_experiment_rejects_bad_policy_before_sweep(self, tmp_path):
-        from repro.faults.runner import run_experiment_resilient
-
         with pytest.raises(ValueError, match="retry policy"):
-            run_experiment_resilient(
+            run_faults(
                 "figure5", seed=1, checkpoint_dir=str(tmp_path / "ck"),
-                n_values=(4,), repetitions=1, retry_policy="polynomial",
+                params={"n_values": (4,), "repetitions": 1},
+                retry_policy="polynomial",
             )
         # One usage error, not a half-written checkpoint.
         assert not (tmp_path / "ck").exists()
@@ -679,19 +742,19 @@ class TestParallelWorkerDeath:
 
         from repro.exec.context import get_stats, reset_stats
         from repro.exec.supervisor import ChaosPlan, chaos_injection
-        from repro.faults.runner import run_experiment_resilient
 
         common = dict(
-            plan_spec="stragglers", seed=7, n_values=(4, 8), repetitions=1,
+            plan_spec="stragglers", seed=7,
+            params={"n_values": (4, 8), "repetitions": 1},
         )
-        serial = run_experiment_resilient(
+        serial = run_faults(
             "figure5", checkpoint_dir=str(tmp_path / "serial"), **common
         )
         reset_stats()
         with chaos_injection(ChaosPlan(kill_workers=1)):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                survived = run_experiment_resilient(
+                survived = run_faults(
                     "figure5", checkpoint_dir=str(tmp_path / "chaos"),
                     jobs=2, **common,
                 )
@@ -703,3 +766,47 @@ class TestParallelWorkerDeath:
                 serial.records[key].to_dict()["digest"]
                 == survived.records[key].to_dict()["digest"]
             )
+
+    def test_parallel_interrupt_then_resume_matches_serial(self, tmp_path):
+        import warnings
+
+        common = dict(
+            plan_spec="stragglers", seed=3,
+            params={"n_values": (2, 4, 8), "repetitions": 1},
+        )
+        serial = run_faults(
+            "figure5", checkpoint_dir=str(tmp_path / "serial"), **common
+        )
+        resumable = dict(common, checkpoint_dir=str(tmp_path / "jobs2"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            first = run_faults("figure5", jobs=2, max_points=2, **resumable)
+            second = run_faults("figure5", jobs=2, **resumable)
+        assert first.interrupted and len(first.records) == 2
+        assert second.resumed == 2 and not second.interrupted
+        assert second.failed == 0
+        assert summary_digest(second) == summary_digest(serial)
+
+
+class TestTracedFaultSweeps:
+    """A traced fault sweep emits the same events at any --jobs."""
+
+    def test_event_kinds_independent_of_jobs(self, tmp_path):
+        import warnings
+
+        from repro.obs.tracer import Tracer, tracing
+
+        totals, digests = {}, {}
+        for jobs in (1, 2):
+            tracer = Tracer(run_id=f"jobs{jobs}")
+            with tracing(tracer), warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                summary = run_faults(
+                    "figure5", "stragglers", 3, jobs=jobs,
+                    params={"n_values": (4, 8), "repetitions": 1},
+                    checkpoint_dir=str(tmp_path / f"jobs{jobs}"),
+                )
+            totals[jobs] = dict(tracer.event_totals)
+            digests[jobs] = summary_digest(summary)
+        assert totals[1] == totals[2] == {"exec.experiment_point": 2}
+        assert digests[1] == digests[2]

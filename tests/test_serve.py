@@ -391,3 +391,32 @@ class TestRecovery:
         assert final["state"] == "done"
         assert final["digest"] == clean.digest
         assert final["stats"]["worker_deaths"] >= 1
+
+
+class TestFaultJobRetries:
+    """``--retries`` governs fault-plan jobs too, not only plain ones."""
+
+    @pytest.mark.parametrize("retries", [0, 3])
+    def test_fault_job_uses_configured_retries(
+        self, tmp_path, monkeypatch, retries
+    ):
+        from repro.serve import app
+        from repro.serve.jobs import Job
+
+        captured = []
+
+        def capture(plan):
+            captured.append(plan)
+            raise RuntimeError("captured")
+
+        monkeypatch.setattr(app, "execute", capture)
+        service = app.ExperimentService(
+            ServeConfig(port=0, retries=retries, work_dir=str(tmp_path))
+        )
+        try:
+            plan = RunPlan("figure5", params=PARAMS, fault_plan="stragglers")
+            with pytest.raises(RuntimeError, match="captured"):
+                service._run_plan(Job("j1", "experiment", "0" * 64, {}), plan)
+        finally:
+            service.shutdown()
+        assert captured[0].faults.max_retries == retries

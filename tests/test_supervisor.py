@@ -165,6 +165,12 @@ class TestSupervisorConfig:
         with pytest.raises(ValueError):
             SupervisorConfig(backoff="polynomial")
 
+    def test_retry_schedule_validated_at_construction(self):
+        with pytest.raises(ValueError, match="base_seconds"):
+            SupervisorConfig(backoff_base_seconds=-0.5)
+        with pytest.raises(ValueError, match="cap_seconds"):
+            SupervisorConfig(backoff_cap_seconds=0)
+
     def test_supervision_restores_previous(self):
         from repro.exec.supervisor import get_supervisor_config
 
@@ -192,6 +198,44 @@ class TestChaosPlan:
         plan = ChaosPlan(kill_workers=1)
         plan.claim_kill("N=2")
         assert plan.snapshot()["killed"] == ["N=2"]
+
+    def test_chaos_injection_is_thread_scoped(self):
+        import threading
+
+        from repro.exec.supervisor import get_chaos_plan, set_chaos_plan
+
+        entered, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def hold():
+            with chaos_injection(ChaosPlan(kill_workers=1)) as plan:
+                seen["holder"] = get_chaos_plan() is plan
+                entered.set()
+                release.wait(10)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert entered.wait(10)
+            assert get_chaos_plan() is None
+        finally:
+            release.set()
+            holder.join(10)
+        assert not holder.is_alive()
+        assert seen["holder"]
+        # set_chaos_plan still installs the process default everywhere.
+        default = ChaosPlan(kill_workers=1)
+        assert set_chaos_plan(default) is None
+        try:
+            other = threading.Thread(
+                target=lambda: seen.update(other=get_chaos_plan())
+            )
+            other.start()
+            other.join(10)
+            assert not other.is_alive()
+            assert seen["other"] is default
+        finally:
+            set_chaos_plan(None)
 
 
 # -- deadlines ----------------------------------------------------------
