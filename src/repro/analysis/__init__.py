@@ -2,8 +2,9 @@
 
 :mod:`repro.analysis.experiments` maps experiment ids (``table1`` ...
 ``figure10``, plus the Section 5.1/7.1/8 studies) to runner functions;
-every benchmark in ``benchmarks/`` and every row of EXPERIMENTS.md is
-produced through this registry, so the paper artifacts can also be
+every paper-shape claim in :mod:`repro.analysis.claims` and every row
+of EXPERIMENTS.md is produced through this registry, so the paper
+artifacts can also be
 regenerated directly:
 
     python -m repro.analysis.experiments figure5

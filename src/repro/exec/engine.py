@@ -46,6 +46,9 @@ actually dies.
 from __future__ import annotations
 
 import atexit
+import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -163,11 +166,32 @@ def policy_fingerprint(policy: Any) -> Dict[str, Any]:
 _POOLS: Dict[int, ProcessPoolExecutor] = {}
 
 
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: exit once the forking process is gone.
+
+    An idle worker blocks on its call queue, whose pipe every sibling
+    worker also holds open, so a parent killed outright would leave
+    its workers running under init.  ``getppid`` changes when the
+    parent process dies, whichever thread forked the worker (unlike
+    ``PR_SET_PDEATHSIG``, which fires when that *thread* exits).
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
+
+
 def _get_pool(jobs: int) -> ProcessPoolExecutor:
     """A shared pool with ``jobs`` workers, created on first use."""
     pool = _POOLS.get(jobs)
     if pool is None:
-        pool = _POOLS[jobs] = ProcessPoolExecutor(max_workers=jobs)
+        pool = _POOLS[jobs] = ProcessPoolExecutor(
+            max_workers=jobs, initializer=_exit_with_parent
+        )
     return pool
 
 

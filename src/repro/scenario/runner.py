@@ -58,8 +58,8 @@ def run_scenario(
 
     With an active exec config — explicit ``jobs``/``cache`` arguments
     or the ambient CLI config — each cell's plan runs through the
-    parallel cache-aware engine, which fans its repetition shards
-    across the worker pool; output is bit-identical to the serial
+    parallel cache-aware engine, which runs its sweep points on the
+    worker pool; output is bit-identical to the serial
     loop, so the aggregate digest is the same serial, parallel, and
     cache-warmed (the same contract every other dispatch path obeys).
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import asyncio
 import os
 import re
+import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
@@ -176,7 +177,12 @@ class ExperimentService:
         return self.server
 
     def shutdown(self) -> None:
-        self.executor.shutdown(wait=True)
+        """Cancel queued jobs, let running ones finish (their points are
+        checkpointed as they land), then reap the engine's worker pools."""
+        from repro.exec.engine import shutdown_pools
+
+        self.executor.shutdown(wait=True, cancel_futures=True)
+        shutdown_pools(wait=True)
 
     # -- connection handling -------------------------------------------
 
@@ -477,9 +483,19 @@ class ExperimentService:
 # -- entry points --------------------------------------------------------
 
 
-async def _serve_forever(config: ServeConfig) -> None:
+async def _serve_forever(config: ServeConfig) -> int:
+    """Serve until SIGINT or SIGTERM; returns the shell's exit code for
+    that signal (130 / 143) once the service has shut down."""
     service = ExperimentService(config)
     server = await service.start()
+    loop = asyncio.get_running_loop()
+    stopped: "asyncio.Future[int]" = loop.create_future()
+    # Installed explicitly, so a service started with SIGINT ignored
+    # (as a background shell starts it) still stops on SIGINT.
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        loop.add_signal_handler(
+            signum, lambda s=signum: stopped.done() or stopped.set_result(s)
+        )
     print(
         f"repro serve listening on http://{config.host}:{service.port} "
         f"(jobs={config.jobs}, concurrency={config.concurrency}, "
@@ -487,13 +503,13 @@ async def _serve_forever(config: ServeConfig) -> None:
         flush=True,
     )
     try:
-        async with server:
-            await server.serve_forever()
+        signum = await stopped
     finally:
+        server.close()
         service.shutdown()
+    return 128 + signum
 
 
 def run_server(config: ServeConfig) -> int:
-    """Run the service until interrupted (the CLI entry point)."""
-    asyncio.run(_serve_forever(config))
-    return 0
+    """Run the service until SIGINT or SIGTERM (the CLI entry point)."""
+    return asyncio.run(_serve_forever(config))

@@ -2,12 +2,21 @@
 
 import pytest
 
+from repro.analysis import claims
 from repro.analysis.claims import (
     CLAIM_CHECKS,
     ClaimResult,
     verify_claims,
     verify_report,
 )
+
+
+@pytest.fixture(scope="module")
+def results_at_5():
+    """One low-fidelity pass over every claim, shared by the tests of
+    the aggregate entry points (each claim's own pass is tested above
+    them at modest fidelity)."""
+    return verify_claims(repetitions=5)
 
 
 class TestClaimChecks:
@@ -23,13 +32,17 @@ class TestClaimChecks:
         assert result.evidence
         assert result.passed, f"{claim_id} failed: {result.evidence}"
 
-    def test_verify_claims_runs_all(self):
-        results = verify_claims(repetitions=5)
-        assert len(results) == len(CLAIM_CHECKS)
+    def test_verify_claims_runs_all(self, results_at_5):
+        assert len(results_at_5) == len(CLAIM_CHECKS)
+        assert [r.claim_id for r in results_at_5] == list(CLAIM_CHECKS)
 
-    def test_report_counts(self):
+    def test_report_counts(self, results_at_5, monkeypatch):
+        monkeypatch.setattr(
+            claims, "verify_claims", lambda **kwargs: results_at_5
+        )
         report = verify_report(repetitions=5)
-        assert "headline claims verified" in report
+        passed = sum(r.passed for r in results_at_5)
+        assert f"{passed}/{len(CLAIM_CHECKS)} headline claims verified" in report
         assert "[PASS]" in report
 
     def test_str_format(self):

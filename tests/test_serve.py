@@ -18,11 +18,18 @@ and compare digests against in-process CLI runs:
   runner;
 - events: chunked JSONL replay and live follow, terminal marker last;
 - recovery: a worker SIGKILLed mid-job is respawned and the job still
-  completes with the clean-run digest.
+  completes with the clean-run digest;
+- process lifecycle: ``python -m repro serve --jobs 2`` as a real
+  subprocess leaves no process behind after SIGTERM, SIGINT (even when
+  started with SIGINT ignored) or SIGKILL.
 """
 
 import http.client
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -420,3 +427,100 @@ class TestFaultJobRetries:
         finally:
             service.shutdown()
         assert captured[0].faults.max_retries == retries
+
+
+# -- process lifecycle of ``python -m repro serve`` ---------------------
+
+
+def descendants(root):
+    """Pids of every live process below ``root``, read from /proc."""
+    children = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", "r", encoding="utf-8") as handle:
+                # "pid (comm) state ppid ..." -- comm may hold spaces.
+                state, ppid = handle.read().rsplit(")", 1)[1].split()[:2]
+        except OSError:
+            continue
+        if state != "Z":
+            children.setdefault(int(ppid), []).append(int(entry))
+    found, frontier = [], [root]
+    while frontier:
+        below = children.get(frontier.pop(), [])
+        found.extend(below)
+        frontier.extend(below)
+    return found
+
+
+def alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat", "r", encoding="utf-8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+class TestProcessLifecycle:
+    """A served ``--jobs 2`` job forks two pool workers; however the
+    server goes down, none of its descendants may outlive it."""
+
+    def run_one_job(self, tmp_path, preexec_fn=None):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--jobs", "2",
+             "--port", "0", "--cache-dir", str(tmp_path / "cache"),
+             "--work-dir", str(tmp_path / "work")],
+            stdout=subprocess.PIPE, env=env, preexec_fn=preexec_fn,
+        )
+        try:
+            # "repro serve listening on http://127.0.0.1:<port> (...)"
+            line = proc.stdout.readline().decode()
+            port = int(line.split("http://", 1)[1].split()[0].rsplit(":", 1)[1])
+            _, accepted = request(port, "POST", "/jobs", SUBMISSION)
+            assert wait_done(port, accepted["job"]["id"])["state"] == "done"
+            workers = descendants(proc.pid)
+            assert len(workers) >= 2, "the job never started the worker pool"
+        except BaseException:
+            self.assert_all_gone(proc, descendants(proc.pid), signal.SIGKILL,
+                                 -signal.SIGKILL)
+            raise
+        return proc, workers
+
+    def assert_all_gone(self, proc, workers, signum, exit_code):
+        try:
+            proc.send_signal(signum)
+            assert proc.wait(timeout=30) == exit_code
+            deadline = time.monotonic() + 5.0
+            while any(alive(pid) for pid in workers):
+                assert time.monotonic() < deadline, (
+                    f"left running: {[p for p in workers if alive(p)]}"
+                )
+                time.sleep(0.1)
+        finally:
+            for pid in [proc.pid] + workers:
+                if alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.wait()
+            proc.stdout.close()
+
+    @pytest.mark.slow
+    def test_sigterm_reaps_pool_workers(self, tmp_path):
+        proc, workers = self.run_one_job(tmp_path)
+        self.assert_all_gone(proc, workers, signal.SIGTERM, 143)
+
+    @pytest.mark.slow
+    def test_sigint_stops_a_server_started_with_sigint_ignored(self, tmp_path):
+        proc, workers = self.run_one_job(
+            tmp_path, lambda: signal.signal(signal.SIGINT, signal.SIG_IGN)
+        )
+        self.assert_all_gone(proc, workers, signal.SIGINT, 130)
+
+    @pytest.mark.slow
+    def test_workers_exit_after_the_server_is_killed(self, tmp_path):
+        proc, workers = self.run_one_job(tmp_path)
+        self.assert_all_gone(proc, workers, signal.SIGKILL, -signal.SIGKILL)
