@@ -2,7 +2,7 @@
 
 :mod:`repro.analysis.experiments` maps experiment ids (``table1`` ...
 ``figure10``, plus the Section 5.1/7.1/8 studies) to runner functions;
-every paper-shape claim in :mod:`repro.analysis.claims` and every row
+every paper-shape claim in :mod:`repro.check.claims` and every row
 of EXPERIMENTS.md is produced through this registry, so the paper
 artifacts can also be
 regenerated directly:
@@ -12,7 +12,6 @@ regenerated directly:
 
 from repro.analysis.tables import render_table
 from repro.analysis.figures import render_series
-from repro.analysis.claims import ClaimResult, verify_claims, verify_report
 from repro.analysis.experiments import EXPERIMENTS, ExperimentResult, run
 
 __all__ = [
@@ -21,7 +20,4 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentResult",
     "run",
-    "ClaimResult",
-    "verify_claims",
-    "verify_report",
 ]

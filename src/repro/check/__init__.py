@@ -1,77 +1,21 @@
-"""repro.check — correctness verification: invariants, oracles, fuzzing.
+"""repro.check — one verification system behind ``check`` and ``verify``.
 
-The verification subsystem behind ``python -m repro check``.  Three
-suites, each attacking the reproduction from a different angle:
+:mod:`repro.check.runner` holds the one registry (the ``@check``
+decorator), the one outcome type and the one runner; the suites
+register into it:
 
-- :mod:`repro.check.invariants` — conservation laws cross-checking the
-  obs event stream, the memory-module accounting and the simulator's
-  result records against each other (one grant per module per cycle,
-  episode traffic conservation, wait-cycle reconstruction, Dir_i_NB
-  pointer-state consistency).
-- :mod:`repro.check.oracles` — differential oracles: simulator vs
-  analytic Models 1-2 within paper tolerances at randomized points,
-  serial vs ``--jobs N`` vs cached digest parity on randomized configs,
-  and metamorphic relations on backoff policies.
-- :mod:`repro.check.fuzz` — schema-derived fuzzing: every registered
-  experiment's typed Param schema resolves to hypothesis strategies,
-  so all experiment ids get seeded, shrinking, budgeted fuzzing; shrunk
-  failures come back as single-line ``python -m repro run`` commands.
+- ``invariants`` (:mod:`repro.check.invariants`) — conservation laws;
+- ``differential`` (:mod:`repro.check.oracles`) — metamorphic relations;
+- ``fuzz`` (:mod:`repro.check.fuzz`) — schema-derived fuzzing of every
+  registered experiment;
+- ``claims`` (:mod:`repro.check.claims`) — the paper's headline claims.
 
-Typical programmatic use::
+``python -m repro check`` runs the first three, ``python -m repro
+verify`` the claims.  The runner imports a suite's module only when the
+suite runs, so importing this package costs nothing until then::
 
-    from repro.check import run_checks
+    from repro.check.runner import run_checks
 
     report = run_checks(suites=["invariants"], budget="small", seed=0)
     assert report.ok, report.render()
 """
-
-from repro.check.fuzz import (
-    backoff_policy_strategy,
-    fuzz_experiment,
-    fuzz_registry,
-    kwargs_strategy,
-    param_strategy,
-    run_repro_command,
-    sample_kwargs,
-    strategy_for_domain,
-)
-from repro.check.invariants import INVARIANT_CHECKS, invariant, random_policy
-from repro.check.oracles import DIFFERENTIAL_CHECKS, differential
-from repro.check.report import (
-    BUDGETS,
-    Budget,
-    CheckContext,
-    CheckFailure,
-    CheckOutcome,
-    CheckReport,
-    resolve_budget,
-    run_registered_checks,
-)
-from repro.check.runner import DEFAULT_OUT_DIR, SUITES, run_checks
-
-__all__ = [
-    "BUDGETS",
-    "Budget",
-    "CheckContext",
-    "CheckFailure",
-    "CheckOutcome",
-    "CheckReport",
-    "DEFAULT_OUT_DIR",
-    "DIFFERENTIAL_CHECKS",
-    "INVARIANT_CHECKS",
-    "SUITES",
-    "backoff_policy_strategy",
-    "differential",
-    "fuzz_experiment",
-    "fuzz_registry",
-    "invariant",
-    "kwargs_strategy",
-    "param_strategy",
-    "random_policy",
-    "resolve_budget",
-    "run_checks",
-    "run_registered_checks",
-    "run_repro_command",
-    "sample_kwargs",
-    "strategy_for_domain",
-]

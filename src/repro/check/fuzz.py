@@ -9,22 +9,20 @@ shrinking, budgeted fuzzing with zero per-experiment boilerplate:
 
 - :func:`strategy_for_domain` / :func:`kwargs_strategy` — domain ->
   strategy, spec -> full-kwargs strategy.
-- :func:`sample_kwargs` — one numpy-drawn sample from the same domains
-  (the differential oracles use this to randomize configs without
-  pulling hypothesis into their control flow).
 - :func:`fuzz_experiment` — run one spec under ``@given`` with a
   derived seed; on failure returns the *shrunk* minimal kwargs, which
   :func:`run_repro_command` turns into a single-line repro.
 - :func:`backoff_policy_strategy` — the shared policy generator the
   property-test suite draws from.
+
+Importing this module registers one ``fuzz`` check per experiment id.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-import numpy as np
 from hypothesis import HealthCheck, given, seed as hypothesis_seed, settings
 from hypothesis import strategies as st
 
@@ -34,8 +32,8 @@ from repro.core.backoff import (
     NoBackoff,
     VariableBackoff,
 )
-from repro.check.report import CheckContext, CheckFailure
-from repro.registry.spec import ExperimentSpec, Param
+from repro.check.runner import CheckContext, CheckFailure, check
+from repro.registry.spec import ExperimentSpec, Param, all_specs
 
 
 def strategy_for_domain(domain: Dict[str, Any]) -> st.SearchStrategy:
@@ -90,63 +88,6 @@ def kwargs_strategy(spec: ExperimentSpec) -> st.SearchStrategy:
     return st.fixed_dictionaries(
         {param.name: param_strategy(param) for param in spec.params}
     )
-
-
-def sample_from_domain(
-    domain: Dict[str, Any], rng: np.random.Generator
-) -> Any:
-    """One numpy-drawn sample from a fuzz domain (no hypothesis)."""
-    kind = domain["type"]
-    if kind == "const":
-        return domain["value"]
-    if kind == "int":
-        return int(rng.integers(domain["lo"], domain["hi"] + 1))
-    if kind == "float":
-        return float(rng.uniform(domain["lo"], domain["hi"]))
-    if kind == "choice":
-        values = list(domain["values"])
-        return values[int(rng.integers(0, len(values)))]
-    if kind == "seq":
-        lo = domain.get("min_size", 1)
-        hi = domain.get("max_size", 3)
-        size = int(rng.integers(lo, hi + 1))
-        unique = domain.get("unique", False)
-        items: List[Any] = []
-        for __ in range(50 * max(size, 1)):
-            value = sample_from_domain(domain["element"], rng)
-            if unique and value in items:
-                continue
-            items.append(value)
-            if len(items) == size:
-                break
-        return tuple(items)
-    if kind == "pairs":
-        lo = domain.get("min_size", 1)
-        hi = domain.get("max_size", 2)
-        size = int(rng.integers(lo, hi + 1))
-        pairs = []
-        for __ in range(50 * max(size, 1)):
-            pair = (
-                sample_from_domain(domain["first"], rng),
-                sample_from_domain(domain["second"], rng),
-            )
-            if pair in pairs:
-                continue
-            pairs.append(pair)
-            if len(pairs) == size:
-                break
-        return tuple(pairs)
-    raise ValueError(f"unknown fuzz domain type {kind!r}")
-
-
-def sample_kwargs(
-    spec: ExperimentSpec, rng: np.random.Generator
-) -> Dict[str, Any]:
-    """One complete randomized kwargs dict for ``spec``."""
-    return {
-        param.name: sample_from_domain(param.fuzz_domain(), rng)
-        for param in spec.params
-    }
 
 
 def run_repro_command(
@@ -234,31 +175,20 @@ def fuzz_experiment(
     return state["cases"], None
 
 
-def fuzz_registry(
-    ids: Optional[Sequence[str]] = None,
-) -> Dict[str, Callable[[CheckContext], int]]:
-    """A check registry with one fuzz check per experiment id."""
-    from repro.registry import experiment_ids, get_spec
+def _fuzz_check(spec: ExperimentSpec):
+    def fuzz(ctx: CheckContext) -> int:
+        cases, failure = fuzz_experiment(spec, ctx.seed, ctx.budget.examples)
+        if failure is not None:
+            kwargs, error = failure
+            raise CheckFailure(
+                f"{type(error).__name__}: {error}\n"
+                f"shrunk config: {kwargs}",
+                repro=run_repro_command(spec.id, kwargs, spec),
+            )
+        return cases
 
-    selected = list(ids) if ids is not None else experiment_ids()
-    registry: Dict[str, Callable[[CheckContext], int]] = {}
-    for experiment_id in selected:
-        spec = get_spec(experiment_id)
+    return fuzz
 
-        def make_check(spec: ExperimentSpec = spec):
-            def check(ctx: CheckContext) -> int:
-                cases, failure = fuzz_experiment(
-                    spec, ctx.seed, ctx.budget.examples
-                )
-                if failure is not None:
-                    kwargs, error = failure
-                    raise CheckFailure(
-                        f"{type(error).__name__}: {error}\n"
-                        f"shrunk config: {kwargs}",
-                        repro=run_repro_command(spec.id, kwargs, spec),
-                    )
-                return cases
-            return check
 
-        registry[experiment_id] = make_check()
-    return registry
+for _spec in all_specs():
+    check("fuzz", _spec.id, experiment=_spec.id)(_fuzz_check(_spec))

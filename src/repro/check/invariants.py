@@ -18,12 +18,12 @@ miscounted retry, a double grant, a wait measured from the wrong epoch
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 import numpy as np
 
 from repro.barrier.simulator import build_simulator
-from repro.check.report import CheckContext, CheckFailure
+from repro.check.runner import CheckContext, CheckFailure, check
 from repro.core.backoff import (
     BackoffPolicy,
     ExponentialFlagBackoff,
@@ -36,22 +36,6 @@ from repro.network.model import NetworkModel
 from repro.obs.tracer import Tracer, tracing
 from repro.sim.rng import spawn_stream
 from repro.trace.record import Op, TraceRecord
-
-#: The invariant registry: name -> check function.
-INVARIANT_CHECKS: Dict[str, Callable[[CheckContext], int]] = {}
-
-
-def invariant(name: str):
-    """Decorator registering a check under ``name``."""
-
-    def register(fn: Callable[[CheckContext], int]):
-        if name in INVARIANT_CHECKS:
-            raise ValueError(f"duplicate invariant {name!r}")
-        INVARIANT_CHECKS[name] = fn
-        return fn
-
-    return register
-
 
 def random_policy(rng: np.random.Generator) -> BackoffPolicy:
     """One of the paper's policy shapes with randomized knobs."""
@@ -90,8 +74,8 @@ def _grants(events: List[dict]) -> List[int]:
     return [event["grant"] for event in events]
 
 
-@invariant("module-single-grant")
-def check_module_single_grant(ctx: CheckContext) -> int:
+@check("invariants")
+def module_single_grant(ctx: CheckContext) -> int:
     """A module grants at most one access per cycle.
 
     Per-module grant times taken from the event stream must be strictly
@@ -138,8 +122,8 @@ def check_module_single_grant(ctx: CheckContext) -> int:
     return cases
 
 
-@invariant("episode-traffic")
-def check_episode_traffic(ctx: CheckContext) -> int:
+@check("invariants")
+def episode_traffic(ctx: CheckContext) -> int:
     """Episode traffic = N increments + flag reads/writes + retries.
 
     Conservation across all three views: per-process access counts,
@@ -198,8 +182,8 @@ def check_episode_traffic(ctx: CheckContext) -> int:
     return cases
 
 
-@invariant("wait-cycles")
-def check_wait_cycles(ctx: CheckContext) -> int:
+@check("invariants")
+def wait_cycles(ctx: CheckContext) -> int:
     """Per-process wait = departure − arrival, reconstructed from events.
 
     Each processor's arrival is the ``ready`` of its barrier-variable
@@ -246,8 +230,8 @@ def check_wait_cycles(ctx: CheckContext) -> int:
     return cases
 
 
-@invariant("directory-pointer-state")
-def check_directory_pointer_state(ctx: CheckContext) -> int:
+@check("invariants")
+def directory_pointer_state(ctx: CheckContext) -> int:
     """Invalidations are consistent with Dir_i_NB pointer state.
 
     Random traces through the coherence simulator: the directory never

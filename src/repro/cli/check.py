@@ -4,18 +4,13 @@ from __future__ import annotations
 
 import sys
 
-from repro.cli.common import (
-    add_backend_arg,
-    add_supervisor_args,
-    seed_arg,
-    supervisor_config_from_args,
-)
+from repro.cli.common import add_backend_arg, seed_arg
 
 
 def add_parser(sub) -> None:
     p = sub.add_parser(
         "check",
-        help="verify the reproduction: invariants, differential oracles, "
+        help="verify the reproduction: invariants, metamorphic relations, "
              "schema-derived fuzzing",
     )
     p.add_argument(
@@ -32,37 +27,29 @@ def add_parser(sub) -> None:
                    help="root seed; every randomized case derives from it")
     p.add_argument(
         "--ids", nargs="+", default=None, metavar="ID",
-        help="restrict fuzzing (and exec-parity sampling) to these "
-             "experiment ids",
+        help="restrict fuzzing to these experiment ids",
     )
     p.add_argument(
         "--output", default="checks",
         help="directory for report.json + manifest.json artifacts",
     )
-    add_supervisor_args(p, checkpoint=False)
     add_backend_arg(p)
     p.set_defaults(fn=cmd)
 
 
 def cmd(args) -> int:
     import os
-    from contextlib import ExitStack
 
-    from repro.check import run_checks
-    from repro.exec.supervisor import supervision
+    from repro.check.runner import run_checks
 
     try:
-        supervisor = supervisor_config_from_args(args)
-        with ExitStack() as stack:
-            if supervisor is not None:
-                stack.enter_context(supervision(supervisor))
-            report = run_checks(
-                suites=args.suite,
-                budget=args.budget,
-                seed=args.seed,
-                ids=args.ids,
-                out_dir=args.output,
-            )
+        report = run_checks(
+            suites=args.suite,
+            budget=args.budget,
+            seed=args.seed,
+            ids=args.ids,
+            out_dir=args.output,
+        )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

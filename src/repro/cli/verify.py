@@ -13,8 +13,8 @@ def add_parser(sub) -> None:
 
 
 def cmd(args) -> int:
-    from repro.analysis.claims import verify_report
+    from repro.check.claims import render, verify
 
-    report = verify_report(repetitions=args.repetitions, seed=args.seed)
-    print(report)
-    return 0 if "FAIL" not in report else 1
+    report = verify(repetitions=args.repetitions, seed=args.seed)
+    print(render(report))
+    return 0 if report.ok else 1

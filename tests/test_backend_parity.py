@@ -118,13 +118,22 @@ GRID_POLICIES = (
 
 
 @pytest.mark.parametrize("policy", GRID_POLICIES, ids=lambda p: repr(p))
-@pytest.mark.parametrize("interval_a", (0, 7, 100, 1000))
-@pytest.mark.parametrize("n", (1, 2, 5, 16, 33))
+@pytest.mark.parametrize("interval_a", (0, 7, 100, 250, 1000))
+@pytest.mark.parametrize("n", (1, 2, 5, 16, 33, 64))
 def test_uniform_grid_summaries_identical(n, interval_a, policy):
     simulator = build_simulator(n, interval_a, policy, seed=3)
     assert _summaries(simulator, 4, "python") == _summaries(
         simulator, 4, "numpy"
     )
+
+
+@pytest.mark.parametrize("seed", (0, 0x9E3779B9, 2**32 - 1))
+def test_random_seeds_summaries_identical(seed):
+    for policy in GRID_POLICIES:
+        simulator = build_simulator(48, 150, policy, seed=seed)
+        assert _summaries(simulator, 8, "python") == _summaries(
+            simulator, 8, "numpy"
+        )
 
 
 @pytest.mark.parametrize(

@@ -97,7 +97,10 @@ class TestModel1Agreement:
 class TestModel2Agreement:
     """A >> N ties to Model 2's r/2 + 3N/2."""
 
-    @pytest.mark.parametrize("n,a", [(4, 1000), (16, 1000), (64, 1000)])
+    @pytest.mark.parametrize(
+        "n,a",
+        [(4, 1000), (16, 1000), (64, 1000), (12, 2000), (16, 3000), (24, 800)],
+    )
     def test_no_backoff_matches_model2(self, n, a):
         from repro.barrier.models import model2_accesses
 

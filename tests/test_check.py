@@ -1,32 +1,50 @@
-"""Tests for the repro.check verification subsystem.
+"""Tests for the repro.check verification system.
 
-Covers the budget/report plumbing, the schema-derived strategy
+Covers the budget/report plumbing, the one registry and runner behind
+``repro check`` and ``repro verify``, the schema-derived strategy
 construction for every registered experiment, the runner's artifact
-output, and — the critical property — that a deliberately broken
-traffic counter is caught by the invariants suite with a usable
-single-line repro command.
+output, that every check suite passes in tier 1, and — the critical
+property — that a deliberately broken traffic counter is caught by the
+invariants suite with a usable single-line repro command.
 """
 
+import importlib
+import importlib.util
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
 
-from repro.check import (
+from repro.check.runner import (
     BUDGETS,
+    CHECK_SUITES,
+    CHECKS,
+    SUITES,
+    Check,
     CheckContext,
     CheckFailure,
-    INVARIANT_CHECKS,
-    SUITES,
-    kwargs_strategy,
+    CheckOutcome,
+    CheckReport,
     resolve_budget,
     run_checks,
-    run_registered_checks,
+)
+from repro.check import runner
+from repro.check.fuzz import (
+    fuzz_experiment,
+    kwargs_strategy,
     run_repro_command,
-    sample_kwargs,
     strategy_for_domain,
 )
 from repro.registry import UnknownExperimentError, all_specs, get_spec
-from repro.sim.rng import spawn_stream
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def keys(suite):
+    return [key for key, entry in CHECKS.items() if entry.suite == suite]
 
 
 class TestBudgets:
@@ -93,22 +111,25 @@ class TestSchemaStrategies:
 
     @pytest.mark.parametrize("spec", all_specs(), ids=lambda s: s.id)
     def test_sampled_kwargs_are_complete_and_parseable(self, spec):
-        rng = spawn_stream(0, f"test-sample:{spec.id}")
-        kwargs = sample_kwargs(spec, rng)
-        assert set(kwargs) == set(spec.param_names())
-        # Round-trip through the CLI formatting the repro command uses.
-        for name, value in kwargs.items():
-            text = spec.get_param(name).format(value)
-            assert spec.get_param(name).parse(text) == value
+        @settings(max_examples=5, deadline=None, database=None)
+        @given(kwargs=kwargs_strategy(spec))
+        def round_trip(kwargs):
+            assert set(kwargs) == set(spec.param_names())
+            # Round-trip through the CLI formatting the repro command uses.
+            for name, value in kwargs.items():
+                text = spec.get_param(name).format(value)
+                assert spec.get_param(name).parse(text) == value
+
+        round_trip()
 
     def test_unknown_domain_type_rejected(self):
         with pytest.raises(ValueError, match="unknown fuzz domain"):
             strategy_for_domain({"type": "mystery"})
 
-    def test_repro_command_is_one_line_and_ordered(self):
+    @settings(max_examples=5, deadline=None, database=None)
+    @given(kwargs=kwargs_strategy(get_spec("figure5")))
+    def test_repro_command_is_one_line_and_ordered(self, kwargs):
         spec = get_spec("figure5")
-        rng = spawn_stream(1, "test-repro")
-        kwargs = sample_kwargs(spec, rng)
         command = run_repro_command("figure5", kwargs, spec)
         assert command.startswith("PYTHONPATH=src python -m repro run figure5")
         assert "\n" not in command
@@ -117,45 +138,66 @@ class TestSchemaStrategies:
 
 
 class TestRunRegisteredChecks:
-    def _ctx(self):
-        return CheckContext(seed=0, budget=BUDGETS["small"])
+    def _run(self, monkeypatch, suite, fns):
+        # Register the real suite first, so the runner's import of it
+        # cannot add to the stand-in registry.
+        importlib.import_module(runner.SUITE_MODULES[suite])
+        monkeypatch.setattr(runner, "CHECKS", {
+            f"{suite}/{name}": Check(suite, name, fn)
+            for name, fn in fns.items()
+        })
+        return run_checks(
+            suites=[suite], budget="small", seed=0, out_dir=None
+        ).outcomes
 
-    def test_failure_keeps_the_run_alive(self):
+    def test_failure_keeps_the_run_alive(self, monkeypatch):
         def passing(ctx):
             return 2
 
         def failing(ctx):
             raise CheckFailure("broken thing", repro="echo repro-me")
 
-        outcomes = run_registered_checks(
-            "invariants", {"b-fail": failing, "a-pass": passing}, self._ctx()
+        outcomes = self._run(
+            monkeypatch, "invariants", {"b-fail": failing, "a-pass": passing}
         )
-        assert [o.check for o in outcomes] == ["a-pass", "b-fail"]
-        assert outcomes[0].passed and outcomes[0].cases == 2
-        assert not outcomes[1].passed
-        assert outcomes[1].detail == "broken thing"
-        assert outcomes[1].repro == "echo repro-me"
+        assert [o.check for o in outcomes] == ["b-fail", "a-pass"]
+        assert outcomes[1].passed and outcomes[1].cases == 2
+        assert not outcomes[0].passed
+        assert outcomes[0].detail == "broken thing"
+        assert outcomes[0].repro == "echo repro-me"
 
-    def test_crash_becomes_failed_outcome_with_suite_repro(self):
+    def test_crash_becomes_failed_outcome_with_suite_repro(self, monkeypatch):
         def crashing(ctx):
             raise RuntimeError("boom")
 
-        outcomes = run_registered_checks(
-            "differential", {"crash": crashing}, self._ctx()
-        )
+        outcomes = self._run(monkeypatch, "differential", {"crash": crashing})
         assert not outcomes[0].passed
         assert "check crashed" in outcomes[0].detail
         assert "boom" in outcomes[0].detail
         assert "--suite differential" in outcomes[0].repro
 
-    def test_failure_without_repro_gets_the_suite_repro(self):
+    def test_failure_without_repro_gets_the_suite_repro(self, monkeypatch):
         def failing(ctx):
             raise CheckFailure("no repro attached")
 
-        outcomes = run_registered_checks(
-            "invariants", {"f": failing}, self._ctx()
-        )
+        outcomes = self._run(monkeypatch, "invariants", {"f": failing})
         assert "--suite invariants" in outcomes[0].repro
+
+    def test_conditions_become_evidence(self, monkeypatch):
+        def claim(ctx):
+            return [("a 1 < 2", True), ("b 3 < 2", False)]
+
+        outcomes = self._run(monkeypatch, "claims", {"c": claim})
+        assert not outcomes[0].passed
+        assert outcomes[0].cases == 2
+        assert outcomes[0].detail == "a 1 < 2; NOT b 3 < 2"
+        assert "python -m repro verify" in outcomes[0].repro
+
+    def test_duplicate_registration_rejected(self, monkeypatch):
+        monkeypatch.setattr(runner, "CHECKS", {})
+        runner.check("invariants", "twice")(lambda ctx: 1)
+        with pytest.raises(ValueError, match="duplicate check"):
+            runner.check("invariants", "twice")(lambda ctx: 1)
 
 
 class TestInvariantSuite:
@@ -164,7 +206,9 @@ class TestInvariantSuite:
             suites=["invariants"], budget="small", seed=0, out_dir=None
         )
         assert report.ok, report.render()
-        assert {o.check for o in report.outcomes} == set(INVARIANT_CHECKS)
+        assert [f"{o.suite}/{o.check}" for o in report.outcomes] == keys(
+            "invariants"
+        )
         assert all(o.cases > 0 for o in report.outcomes)
 
     def test_broken_traffic_counter_is_caught(self, monkeypatch):
@@ -231,12 +275,12 @@ class TestRunner:
         assert on_disk == report.as_dict()
         assert on_disk["ok"] is True
         assert on_disk["seed"] == 5
-        assert on_disk["checks_run"] == len(INVARIANT_CHECKS)
+        assert on_disk["checks_run"] == len(keys("invariants"))
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["experiment_id"] == "check"
         assert manifest["config"]["suites"] == ["invariants"]
         assert report.manifest_digest
-        assert manifest["counters"]["check.passed"] == len(INVARIANT_CHECKS)
+        assert manifest["counters"]["check.passed"] == len(keys("invariants"))
 
     def test_suite_order_is_canonical(self):
         report = run_checks(
@@ -258,9 +302,23 @@ class TestRunner:
         assert report.ok, report.render()
         assert {o.check for o in report.outcomes} == {"figure4", "table1"}
 
-    def test_render_mentions_failures_with_repro(self):
-        from repro.check.report import CheckOutcome, CheckReport
+    def test_every_check_suite_passes_at_small_budget(self, tmp_path):
+        """Tier 1 runs every registered invariant, differential and
+        fuzz check, and the report tool reads the report they write."""
+        out = tmp_path / "checks"
+        report = run_checks(budget="small", seed=0, out_dir=str(out))
+        assert report.ok, report.render()
+        ran = [f"{o.suite}/{o.check}" for o in report.outcomes]
+        assert ran == [key for suite in CHECK_SUITES for key in keys(suite)]
+        assert len(keys("fuzz")) == len(all_specs())
+        spec = importlib.util.spec_from_file_location(
+            "check_report", os.path.join(ROOT, "tools", "check_report.py")
+        )
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        assert tool.main([str(out / "report.json")]) == 0
 
+    def test_render_mentions_failures_with_repro(self):
         report = CheckReport(seed=0, budget="small", suites=["invariants"])
         report.outcomes.append(
             CheckOutcome(
@@ -278,7 +336,6 @@ class TestFuzzShrinking:
     def test_fuzzer_shrinks_to_a_minimal_config(self, monkeypatch):
         """A seeded failure must come back as shrunk kwargs plus error."""
         import repro.registry as registry
-        from repro.check.fuzz import fuzz_experiment
         from repro.registry.result import ExperimentResult
         from repro.registry.spec import ExperimentSpec, Param
 
@@ -312,3 +369,18 @@ class TestFuzzShrinking:
         assert shrunk["knob"] == 4
         command = run_repro_command(spec.id, shrunk, spec)
         assert "-p knob=4" in command
+
+
+def test_registry_import_loads_no_verification_code():
+    """Every CLI run, ``repro serve`` start and pool worker imports the
+    experiment registry; none of them may pay for the checks."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.registry; print('\\n'.join(sys.modules))"],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.split()
+    assert "repro.registry" in loaded
+    for name in ("repro.check", "repro.analysis.claims", "hypothesis"):
+        assert not [m for m in loaded if m == name or m.startswith(name + ".")]

@@ -51,8 +51,7 @@ OPTION_SURFACE = {
     ],
     "check": [
         "-h/--help", "--suite", "--budget", "--seed", "--ids",
-        "--output", "--retries", "--deadline", "--retry-policy",
-        "--backend",
+        "--output", "--backend",
     ],
     "chaos": [
         "-h/--help", "<ID>", "--seed", "--jobs", "--kill", "--hang",
@@ -199,7 +198,6 @@ class TestSharedValidatorText:
         ["run", "figure5", "--retry-policy", "polynomial"],
         ["profile", "figure5", "--retry-policy", "polynomial"],
         ["faults", "figure5", "--retry-policy", "polynomial"],
-        ["check", "--retry-policy", "polynomial"],
     ]
 
     @pytest.mark.parametrize(

@@ -92,7 +92,7 @@ class TestClaimModelAccuracy:
     """Figure 4: Model 1 fits A << N, Model 2 fits A >> N."""
 
     def test_model1_fits_a0(self):
-        for n in (32, 128, 512):
+        for n in (32, 48, 64, 96, 128, 512):
             sim = simulate_barrier(n, 0, NoBackoff(), repetitions=5)
             assert sim.mean_accesses == pytest.approx(
                 model1_accesses(n), rel=0.05

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.barrier.arrivals import FixedArrivals, UniformArrivals
 from repro.barrier.simulator import BarrierSimulator
-from repro.check import backoff_policy_strategy
+from repro.check.fuzz import backoff_policy_strategy
 from repro.core.backoff import (
     ExponentialFlagBackoff,
     NoBackoff,
@@ -56,15 +56,17 @@ class TestBackoffProperties:
     def test_flag_wait_nonnegative(self, policy, polls):
         assert policy.flag_wait(polls) >= 0
 
-    @given(st.integers(2, 8), st.integers(1, 30))
-    def test_exponential_monotone_in_polls(self, base, polls):
-        policy = ExponentialFlagBackoff(base=base)
+    @given(st.integers(2, 8), st.integers(1, 30),
+           st.one_of(st.just(1 << 20), st.integers(4, 1 << 12)))
+    def test_exponential_monotone_in_polls(self, base, polls, cap):
+        policy = ExponentialFlagBackoff(base=base, cap=cap)
         assert policy.flag_wait(polls + 1) >= policy.flag_wait(polls)
 
-    @given(st.integers(2, 8), st.integers(1, 100))
-    def test_cap_is_respected(self, base, polls):
-        policy = ExponentialFlagBackoff(base=base, cap=500)
-        assert policy.flag_wait(polls) <= 500
+    @given(st.integers(2, 8), st.integers(1, 100),
+           st.one_of(st.just(500), st.integers(4, 1 << 12)))
+    def test_cap_is_respected(self, base, polls, cap):
+        policy = ExponentialFlagBackoff(base=base, cap=cap)
+        assert policy.flag_wait(polls) <= cap
 
 
 class TestBarrierProperties:

@@ -21,7 +21,8 @@ and compare digests against in-process CLI runs:
   completes with the clean-run digest;
 - process lifecycle: ``python -m repro serve --jobs 2`` as a real
   subprocess leaves no process behind after SIGTERM, SIGINT (even when
-  started with SIGINT ignored) or SIGKILL.
+  started with SIGINT ignored) or SIGKILL, and exits within 3 s of
+  SIGINT, idle or after a job.
 """
 
 import http.client
@@ -467,7 +468,8 @@ class TestProcessLifecycle:
     """A served ``--jobs 2`` job forks two pool workers; however the
     server goes down, none of its descendants may outlive it."""
 
-    def run_one_job(self, tmp_path, preexec_fn=None):
+    def start(self, tmp_path, preexec_fn=None):
+        """A listening ``repro serve --jobs 2``; returns (proc, port)."""
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -481,6 +483,14 @@ class TestProcessLifecycle:
             # "repro serve listening on http://127.0.0.1:<port> (...)"
             line = proc.stdout.readline().decode()
             port = int(line.split("http://", 1)[1].split()[0].rsplit(":", 1)[1])
+        except BaseException:
+            self.assert_all_gone(proc, [], signal.SIGKILL, -signal.SIGKILL)
+            raise
+        return proc, port
+
+    def run_one_job(self, tmp_path, preexec_fn=None):
+        proc, port = self.start(tmp_path, preexec_fn)
+        try:
             _, accepted = request(port, "POST", "/jobs", SUBMISSION)
             assert wait_done(port, accepted["job"]["id"])["state"] == "done"
             workers = descendants(proc.pid)
@@ -491,10 +501,10 @@ class TestProcessLifecycle:
             raise
         return proc, workers
 
-    def assert_all_gone(self, proc, workers, signum, exit_code):
+    def assert_all_gone(self, proc, workers, signum, exit_code, within=30.0):
         try:
             proc.send_signal(signum)
-            assert proc.wait(timeout=30) == exit_code
+            assert proc.wait(timeout=within) == exit_code
             deadline = time.monotonic() + 5.0
             while any(alive(pid) for pid in workers):
                 assert time.monotonic() < deadline, (
@@ -524,3 +534,17 @@ class TestProcessLifecycle:
     def test_workers_exit_after_the_server_is_killed(self, tmp_path):
         proc, workers = self.run_one_job(tmp_path)
         self.assert_all_gone(proc, workers, signal.SIGKILL, -signal.SIGKILL)
+
+    # A stop must be prompt, not just clean: a benchmark or supervisor
+    # that stops several services in a row pays every slow exit.
+
+    @pytest.mark.slow
+    def test_idle_server_exits_within_3s_of_sigint(self, tmp_path):
+        proc, port = self.start(tmp_path)
+        assert request(port, "GET", "/healthz")[0] == 200
+        self.assert_all_gone(proc, [], signal.SIGINT, 130, within=3.0)
+
+    @pytest.mark.slow
+    def test_server_exits_within_3s_of_sigint_after_a_job(self, tmp_path):
+        proc, workers = self.run_one_job(tmp_path)
+        self.assert_all_gone(proc, workers, signal.SIGINT, 130, within=3.0)

@@ -85,11 +85,18 @@ GRID_POLICIES = (
 
 
 @pytest.mark.parametrize("policy", GRID_POLICIES, ids=lambda p: repr(p))
-@pytest.mark.parametrize("interval_a", (0, 7, 100, 1000))
-@pytest.mark.parametrize("n", (1, 2, 5, 16, 33))
+@pytest.mark.parametrize("interval_a", (0, 7, 100, 250, 1000))
+@pytest.mark.parametrize("n", (1, 2, 5, 16, 33, 64))
 def test_uniform_grid_summaries_identical(n, interval_a, policy):
     simulator = build_tree_simulator(n, interval_a, policy, degree=4, seed=3)
     _assert_parity(simulator)
+
+
+@pytest.mark.parametrize("seed", (0, 0x9E3779B9, 2**32 - 1))
+def test_random_seeds_summaries_identical(seed):
+    for policy in GRID_POLICIES:
+        simulator = build_tree_simulator(48, 150, policy, degree=3, seed=seed)
+        _assert_parity(simulator, reps=8)
 
 
 @pytest.mark.parametrize("degree", (2, 3, 8, 16))
