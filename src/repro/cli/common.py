@@ -52,6 +52,7 @@ __all__ = [
     "jobs_arg",
     "plan_from_args",
     "render_exec_stats",
+    "repetitions_arg",
     "retry_policy_arg",
     "seed_arg",
     "supervisor_config_from_args",
@@ -77,6 +78,21 @@ def seed_arg(text: str) -> int:
         return validate_seed(seed)
     except ValueError as error:
         raise argparse.ArgumentTypeError(str(error)) from None
+
+
+def repetitions_arg(text: str) -> int:
+    """argparse type for ``--repetitions``: an integer >= 1."""
+    try:
+        repetitions = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"repetitions must be an integer, got {text!r}"
+        ) from None
+    if repetitions < 1:
+        raise argparse.ArgumentTypeError(
+            f"repetitions must be >= 1, got {repetitions}"
+        )
+    return repetitions
 
 
 def retry_policy_arg(text: str) -> str:

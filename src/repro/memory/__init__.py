@@ -1,4 +1,4 @@
-"""Cache-coherence substrate: caches, directory, trace-driven simulator.
+"""Cache-coherence substrate: trace-driven directory and snoopy simulators.
 
 Implements the Section 2 methodology: per-processor direct-mapped
 caches kept coherent by a Dir_i_NB directory (i pointers, no broadcast),
@@ -6,16 +6,11 @@ driven by a multiprocessor reference trace.  Produces the invalidation
 and traffic statistics behind Table 1, Table 2 and Figure 1.
 """
 
-from repro.memory.cache import DirectMappedCache
-from repro.memory.directory import Directory, DirectoryEntry
 from repro.memory.coherence import CoherenceConfig, CoherenceSimulator
 from repro.memory.snoopy import SnoopyConfig, SnoopySimulator, SnoopyStats
 from repro.memory.stats import CoherenceStats
 
 __all__ = [
-    "DirectMappedCache",
-    "Directory",
-    "DirectoryEntry",
     "CoherenceConfig",
     "CoherenceSimulator",
     "CoherenceStats",

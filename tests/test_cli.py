@@ -59,6 +59,29 @@ class TestUnknownExperimentErrors:
         assert "'table1'" in capsys.readouterr().err
 
 
+class TestRepetitionsValidation:
+    """``verify --repetitions`` below 1 is a usage error, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            ("0", "repetitions must be >= 1, got 0"),
+            ("-3", "repetitions must be >= 1, got -3"),
+            ("many", "repetitions must be an integer, got 'many'"),
+        ],
+    )
+    def test_verify_rejects_bad_repetitions(self, value, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--repetitions", value])
+        assert excinfo.value.code == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last.endswith(f" verify: error: argument --repetitions: {message}")
+
+    def test_verify_accepts_positive_repetitions(self):
+        args = build_parser().parse_args(["verify", "--repetitions", "5"])
+        assert args.repetitions == 5
+
+
 class TestSeedValidation:
     """``--seed`` is validated at parse time on every subcommand."""
 

@@ -50,9 +50,9 @@ class TestBasicProtocol:
         sim.process(rec(2, Op.READ, 0x100))
         sim.process(rec(0, Op.WRITE, 0x100))
         assert sim.stats.invalidations_on_write == 2
-        assert not sim.caches[1].contains(0x10)
-        assert not sim.caches[2].contains(0x10)
-        assert sim.caches[0].is_dirty(0x10)
+        assert not sim.holds(1, 0x10)
+        assert not sim.holds(2, 0x10)
+        assert sim.is_dirty(0, 0x10)
 
     def test_figure1_histogram_records_width(self):
         sim = simulator()
@@ -67,26 +67,25 @@ class TestBasicProtocol:
         sim.process(rec(0, Op.WRITE, 0x100))
         sim.process(rec(1, Op.WRITE, 0x100))
         assert sim.stats.writebacks == 1
-        assert not sim.caches[0].contains(0x10)
-        assert sim.caches[1].is_dirty(0x10)
+        assert not sim.holds(0, 0x10)
+        assert sim.is_dirty(1, 0x10)
 
     def test_read_miss_downgrades_dirty_copy(self):
         sim = simulator()
         sim.process(rec(0, Op.WRITE, 0x100))
         sim.process(rec(1, Op.READ, 0x100))
         assert sim.stats.writebacks == 1
-        assert sim.caches[0].contains(0x10)
-        assert not sim.caches[0].is_dirty(0x10)
-        entry = sim.directory.peek(0x10)
-        assert entry.owner is None
-        assert entry.sharers == {0, 1}
+        assert sim.holds(0, 0x10)
+        assert not sim.is_dirty(0, 0x10)
+        assert sim.owner(0x10) is None
+        assert sim.sharers(0x10) == {0, 1}
 
     def test_rmw_treated_as_write(self):
         sim = simulator()
         sim.process(rec(0, Op.READ, 0x100))
         sim.process(rec(1, Op.RMW, 0x100))
-        assert sim.caches[1].is_dirty(0x10)
-        assert not sim.caches[0].contains(0x10)
+        assert sim.is_dirty(1, 0x10)
+        assert not sim.holds(0, 0x10)
 
 
 class TestPointerOverflow:
@@ -96,9 +95,8 @@ class TestPointerOverflow:
         sim.process(rec(1, Op.READ, 0x100))
         sim.process(rec(2, Op.READ, 0x100))
         assert sim.stats.invalidations_on_overflow == 1
-        entry = sim.directory.peek(0x10)
-        assert len(entry.sharers) == 2
-        assert 2 in entry.sharers
+        assert len(sim.sharers(0x10)) == 2
+        assert 2 in sim.sharers(0x10)
 
     def test_full_map_never_overflows(self):
         sim = simulator(num_cpus=8, pointers=8)
@@ -118,7 +116,7 @@ class TestReplacement:
         sim = simulator(cache_bytes=4 * 16)  # 4 sets
         sim.process(rec(0, Op.READ, 0x000))  # block 0, set 0
         sim.process(rec(0, Op.READ, 0x040))  # block 4, set 0: evicts 0
-        assert sim.directory.peek(0) is None
+        assert not sim.sharers(0)
         sim.check_invariants()
 
     def test_dirty_eviction_writes_back(self):
@@ -155,7 +153,7 @@ class TestSyncClassification:
     def test_uncached_sync_does_not_pollute_directory(self):
         sim = simulator(cache_sync=False)
         sim.process(rec(0, Op.WRITE, 0x100, is_sync=True))
-        assert sim.directory.peek(0x10) is None
+        assert not sim.sharers(0x10)
 
     def test_traffic_percentages(self):
         sim = simulator(cache_sync=False)

@@ -41,23 +41,21 @@ class TestDirectoryTransitions:
         sim.process(rec(0, Op.READ))
         assert sim.stats.data_traffic == 2
         assert sim.stats.total_invalidations == 0
-        entry = sim.directory.peek(BLOCK)
-        assert entry.sharers == {0}
-        assert entry.owner is None
+        assert sim.sharers(BLOCK) == {0}
+        assert sim.owner(BLOCK) is None
 
     def test_uncached_write(self):
         sim = directory_sim()
         sim.process(rec(0, Op.WRITE))
         assert sim.stats.data_traffic == 2
-        entry = sim.directory.peek(BLOCK)
-        assert entry.owner == 0
+        assert sim.owner(BLOCK) == 0
 
     def test_shared_read_adds_sharer(self):
         sim = directory_sim()
         sim.process(rec(0, Op.READ))
         sim.process(rec(1, Op.READ))
         assert sim.stats.data_traffic == 4
-        assert sim.directory.peek(BLOCK).sharers == {0, 1}
+        assert sim.sharers(BLOCK) == {0, 1}
 
     def test_dirty_remote_read_downgrades(self):
         sim = directory_sim()
@@ -65,9 +63,8 @@ class TestDirectoryTransitions:
         sim.process(rec(1, Op.READ))
         # miss (2) + recall/writeback (2).
         assert sim.stats.data_traffic == 2 + 4
-        entry = sim.directory.peek(BLOCK)
-        assert entry.owner is None
-        assert entry.sharers == {0, 1}
+        assert sim.owner(BLOCK) is None
+        assert sim.sharers(BLOCK) == {0, 1}
 
     def test_dirty_remote_write_transfers_ownership(self):
         sim = directory_sim()
@@ -77,9 +74,8 @@ class TestDirectoryTransitions:
         # miss (2) + recall (2); one invalidation of the old owner.
         assert sim.stats.data_traffic == before + 4
         assert sim.stats.invalidations_on_write == 1
-        entry = sim.directory.peek(BLOCK)
-        assert entry.owner == 1
-        assert entry.sharers == {1}
+        assert sim.owner(BLOCK) == 1
+        assert sim.sharers(BLOCK) == {1}
 
     def test_shared_write_hit_invalidates_each_copy(self):
         sim = directory_sim()
@@ -110,7 +106,7 @@ class TestDirectoryTransitions:
         # miss (2) + one eviction message (1).
         assert sim.stats.data_traffic == before + 3
         assert sim.stats.invalidations_on_overflow == 1
-        assert len(sim.directory.peek(BLOCK).sharers) == 2
+        assert len(sim.sharers(BLOCK)) == 2
 
     def test_owner_rewrite_free(self):
         sim = directory_sim()
@@ -150,7 +146,7 @@ class TestSnoopyTransitions:
         sim.process(rec(0, Op.WRITE))
         assert sim.stats.bus_transactions == before + 1
         for cpu in (1, 2, 3):
-            assert sim.caches[cpu].contains(BLOCK)
+            assert sim.holds(cpu, BLOCK)
 
     def test_update_write_miss_with_sharers(self):
         sim = snoopy_sim("update")
@@ -159,7 +155,7 @@ class TestSnoopyTransitions:
         sim.process(rec(1, Op.WRITE))
         # read (1) + update broadcast (1).
         assert sim.stats.bus_transactions == before + 2
-        assert sim.caches[0].contains(BLOCK)
+        assert sim.holds(0, BLOCK)
 
     def test_invalidate_write_miss_dirty_remote(self):
         sim = snoopy_sim(fiw=True)
@@ -168,7 +164,7 @@ class TestSnoopyTransitions:
         sim.process(rec(1, Op.WRITE))
         # rdx (1) + flush (1); old copy invalidated.
         assert sim.stats.bus_transactions == before + 2
-        assert not sim.caches[0].contains(BLOCK)
+        assert not sim.holds(0, BLOCK)
 
     def test_read_after_invalidate_refetches(self):
         sim = snoopy_sim()

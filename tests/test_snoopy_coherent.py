@@ -72,7 +72,7 @@ class TestInvalidateProtocol:
         # One upgrade regardless of three remote copies.
         assert sim.stats.bus_transactions == before + 1
         assert sim.stats.copies_invalidated == 3
-        assert not sim.caches[1].contains(0x10)
+        assert not sim.holds(1, 0x10)
 
     def test_write_miss_naive_costs_two(self):
         sim = snoopy()
@@ -91,7 +91,7 @@ class TestInvalidateProtocol:
         sim.process(rec(1, Op.READ, 0x100))
         assert sim.stats.flushes == 1
         assert sim.stats.bus_transactions == before + 2
-        assert not sim.caches[0].is_dirty(0x10)
+        assert not sim.is_dirty(0, 0x10)
 
     def test_rewrite_modified_silent(self):
         sim = snoopy(fiw=True)
@@ -106,7 +106,7 @@ class TestInvalidateProtocol:
         before = sim.stats.bus_transactions
         sim.process(rec(0, Op.WRITE, 0x100))
         assert sim.stats.bus_transactions == before
-        assert sim.caches[0].is_dirty(0x10)
+        assert sim.is_dirty(0, 0x10)
 
     def test_invariants(self):
         sim = snoopy()
@@ -136,7 +136,7 @@ class TestUpdateProtocol:
         sim.process(rec(0, Op.WRITE, 0x100))
         assert sim.stats.updates == 1
         assert sim.stats.copies_invalidated == 0
-        assert sim.caches[1].contains(0x10)  # still cached
+        assert sim.holds(1, 0x10)  # still cached
 
     def test_readers_hit_after_update(self):
         sim = snoopy(protocol="update")
