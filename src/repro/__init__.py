@@ -24,8 +24,9 @@ Packages:
 - :mod:`repro.memory` — directory-based cache-coherence simulator.
 - :mod:`repro.trace` — synthetic SPMD applications and the post-mortem
   trace scheduler.
-- :mod:`repro.analysis` — experiment registry regenerating every paper
-  table and figure.
+- :mod:`repro.registry` — experiment registry regenerating every paper
+  table and figure; :mod:`repro.analysis` renders their tables and
+  series.
 - :mod:`repro.obs` — observability: structured tracing, counters,
   per-run manifests and the ``python -m repro profile`` pipeline.
 - :mod:`repro.exec` — parallel sweep execution (``--jobs``) and the
@@ -33,7 +34,6 @@ Packages:
   serial path.
 """
 
-from repro.analysis.experiments import EXPERIMENTS, ExperimentResult, run
 from repro.barrier.application import ApplicationSimulator, simulate_application
 from repro.barrier.arrivals import (
     EmpiricalArrivals,
@@ -97,6 +97,7 @@ from repro.obs import (
     set_tracer,
     tracing,
 )
+from repro.registry import ExperimentResult, experiment_ids, run
 from repro.trace.apps import build_app
 from repro.trace.io import load_trace, save_trace
 from repro.trace.scheduler import PostMortemScheduler
@@ -167,7 +168,7 @@ __all__ = [
     "ValidationResult",
     "validate_uniform_model",
     # Experiments.
-    "EXPERIMENTS",
+    "experiment_ids",
     "ExperimentResult",
     "run",
     # Observability.

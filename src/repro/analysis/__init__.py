@@ -1,23 +1,14 @@
-"""Reporting: plain-text tables, figure series, experiment registry.
+"""Reporting: plain-text tables and figure series.
 
-:mod:`repro.analysis.experiments` maps experiment ids (``table1`` ...
-``figure10``, plus the Section 5.1/7.1/8 studies) to runner functions;
-every paper-shape claim in :mod:`repro.check.claims` and every row
-of EXPERIMENTS.md is produced through this registry, so the paper
-artifacts can also be
-regenerated directly:
-
-    python -m repro.analysis.experiments figure5
+The experiment registry lives in :mod:`repro.registry`; its spec
+modules render their reports with these helpers.  Regenerate any paper
+artifact with ``python -m repro experiment <id>``.
 """
 
 from repro.analysis.tables import render_table
 from repro.analysis.figures import render_series
-from repro.analysis.experiments import EXPERIMENTS, ExperimentResult, run
 
 __all__ = [
     "render_table",
     "render_series",
-    "EXPERIMENTS",
-    "ExperimentResult",
-    "run",
 ]

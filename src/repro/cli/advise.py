@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.cli.common import seed_arg
+from repro.cli.common import repetitions_arg, seed_arg
 
 
 def add_parser(sub) -> None:
@@ -13,7 +13,7 @@ def add_parser(sub) -> None:
     p.add_argument("--cpus", type=int, default=64)
     p.add_argument("--scale", type=float, default=0.5)
     p.add_argument("--waiting-weight", type=float, default=0.1)
-    p.add_argument("--repetitions", type=int, default=30)
+    p.add_argument("--repetitions", type=repetitions_arg, default=30)
     p.add_argument("--seed", type=seed_arg, default=0)
     p.add_argument("--no-simulate", action="store_true",
                    help="skip the empirical ranking")

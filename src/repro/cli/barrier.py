@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
-from repro.cli.common import add_backend_arg, build_policy, seed_arg
+from repro.cli.common import (
+    add_backend_arg,
+    build_policy,
+    repetitions_arg,
+    seed_arg,
+)
 
 
 def add_parser(sub) -> None:
@@ -17,7 +22,7 @@ def add_parser(sub) -> None:
     )
     p.add_argument("--base", type=int, default=2, help="exponential base")
     p.add_argument("--step", type=int, default=1, help="linear step")
-    p.add_argument("--repetitions", type=int, default=100)
+    p.add_argument("--repetitions", type=repetitions_arg, default=100)
     p.add_argument("--seed", type=seed_arg, default=0)
     p.add_argument("--barrier-style", choices=("flat", "tree"),
                    default="flat",

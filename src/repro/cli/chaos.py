@@ -11,6 +11,7 @@ from repro.cli.common import (
     add_supervisor_args,
     experiment_kwargs,
     jobs_arg,
+    repetitions_arg,
     seed_arg,
 )
 
@@ -50,7 +51,7 @@ def add_parser(sub) -> None:
                    help="keep the work dir for post-mortems")
     p.add_argument("--counters", default=None, metavar="PATH",
                    help="also write the recovery counters as JSON to PATH")
-    p.add_argument("--repetitions", type=int, default=None)
+    p.add_argument("--repetitions", type=repetitions_arg, default=None)
     p.add_argument("--scale", type=float, default=None)
     add_param_arg(p)
     add_supervisor_args(p, checkpoint=False)

@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-from repro.analysis.experiments import run as run_experiment
-from repro.cli.common import add_param_arg, experiment_kwargs
+from repro.cli.common import add_param_arg, plan_from_args, repetitions_arg
+from repro.exec.plan import execute
 
 
 def add_parser(sub) -> None:
     p = sub.add_parser("experiment", help="run experiments by id")
     p.add_argument("ids", nargs="+", metavar="ID",
                    help="experiment id(s); see 'python -m repro list'")
-    p.add_argument("--repetitions", type=int, default=None)
+    p.add_argument("--repetitions", type=repetitions_arg, default=None)
     p.add_argument("--scale", type=float, default=None)
     p.add_argument(
         "--describe", action="store_true",
@@ -30,9 +30,7 @@ def cmd(args) -> int:
             print(get_spec(experiment_id).describe())
         return 0
     for experiment_id in args.ids:
-        kwargs = experiment_kwargs(
-            experiment_id, args.repetitions, args.scale, params=args.param
-        )
-        print(run_experiment(experiment_id, **kwargs))
+        plan = plan_from_args(args, experiment_id=experiment_id)
+        print(execute(plan).result)
         print()
     return 0

@@ -10,6 +10,7 @@ from repro.cli.common import (
     add_param_arg,
     exec_config_from_args,
     experiment_kwargs,
+    repetitions_arg,
     retry_policy_arg,
     seed_arg,
 )
@@ -57,7 +58,7 @@ def add_parser(sub) -> None:
     )
     p.add_argument("--fresh", action="store_true",
                    help="discard any existing checkpoint first")
-    p.add_argument("--repetitions", type=int, default=None)
+    p.add_argument("--repetitions", type=repetitions_arg, default=None)
     p.add_argument("--scale", type=float, default=None)
     add_param_arg(p)
     add_exec_args(p)

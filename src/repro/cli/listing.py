@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis.experiments import EXPERIMENTS
+from repro.registry import all_specs
 
 
 def add_parser(sub) -> None:
@@ -10,8 +10,6 @@ def add_parser(sub) -> None:
 
 
 def cmd(_args) -> int:
-    for experiment_id in sorted(EXPERIMENTS):
-        doc = (EXPERIMENTS[experiment_id].__doc__ or "").strip().splitlines()
-        summary = doc[0] if doc else ""
-        print(f"{experiment_id:12} {summary}")
+    for spec in all_specs():
+        print(f"{spec.id:12} {spec.summary}")
     return 0

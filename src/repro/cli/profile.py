@@ -10,6 +10,7 @@ from repro.cli.common import (
     add_param_arg,
     add_supervisor_args,
     plan_from_args,
+    repetitions_arg,
 )
 
 
@@ -24,7 +25,7 @@ def add_parser(sub) -> None:
         "--output", default=None,
         help="output directory (default: profiles/<experiment-id>)",
     )
-    p.add_argument("--repetitions", type=int, default=None)
+    p.add_argument("--repetitions", type=repetitions_arg, default=None)
     p.add_argument("--scale", type=float, default=None)
     p.add_argument(
         "--ring-size", type=int, default=4096,

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.analysis.experiments import EXPERIMENTS, run as run_experiment
+from repro.exec.plan import RunPlan, execute
+from repro.registry import experiment_ids
 
 
 def add_parser(sub) -> None:
@@ -16,9 +17,9 @@ def cmd(args) -> int:
 
     os.makedirs(args.output, exist_ok=True)
     failures = 0
-    for experiment_id in sorted(EXPERIMENTS):
+    for experiment_id in experiment_ids():
         try:
-            result = run_experiment(experiment_id)
+            result = execute(RunPlan(experiment_id)).result
         except Exception as error:  # pragma: no cover - defensive
             print(f"{experiment_id:18} FAILED: {error}")
             failures += 1

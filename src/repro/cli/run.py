@@ -17,6 +17,7 @@ from repro.cli.common import (
     add_supervisor_args,
     plan_from_args,
     render_exec_stats,
+    repetitions_arg,
     seed_arg,
 )
 
@@ -29,7 +30,7 @@ def add_parser(sub) -> None:
     )
     p.add_argument("id", metavar="ID",
                    help="experiment id; see 'python -m repro list'")
-    p.add_argument("--repetitions", type=int, default=None)
+    p.add_argument("--repetitions", type=repetitions_arg, default=None)
     p.add_argument("--scale", type=float, default=None)
     p.add_argument("--seed", type=seed_arg, default=None)
     p.add_argument("--quiet", action="store_true",

@@ -1,8 +1,8 @@
 """Fault-plan sweeps: per-point derived plans, classification, summary.
 
 A fault-plan run decomposes a registry experiment into its sweep points
-(:func:`repro.registry.experiment_points`) and hands them to the one
-point executor, :func:`repro.exec.engine.execute_experiment_points`,
+(:meth:`repro.registry.ExperimentSpec.sparse_points`) and hands them to
+the one point executor, :func:`repro.exec.engine.execute_experiment_points`,
 which owns checkpoint/resume, the result cache, bounded retries on the
 paper's own backoff policies, per-attempt deadlines and the pool
 fan-out for every sweep.  This module keeps only what is specific to
@@ -231,7 +231,7 @@ def run_plan_resilient(plan) -> ResilienceSummary:
     # here would cycle.  The engine is looked up at call time too.
     from repro.exec.engine import execute_experiment_points
     from repro.exec.plan import FaultOptions
-    from repro.registry import experiment_points
+    from repro.registry import get_spec
 
     options = plan.faults if plan.faults is not None else FaultOptions()
     if options.max_points is not None and options.max_points < 0:
@@ -247,7 +247,7 @@ def run_plan_resilient(plan) -> ResilienceSummary:
     )
     plan_spec = plan.fault_plan if plan.fault_plan is not None else "none"
     seed = plan.seed if plan.seed is not None else 0
-    points = experiment_points(plan.experiment_id, **plan.overrides())
+    points = get_spec(plan.experiment_id).sparse_points(plan.overrides())
     config = get_exec_config()
     with supervision(supervisor):
         sweep = execute_experiment_points(

@@ -49,14 +49,14 @@ def profile_experiment(
     """Run ``experiment_id`` with tracing on and persist the artifacts.
 
     Args:
-        experiment_id: a key of
-            :data:`repro.analysis.experiments.EXPERIMENTS`.
+        experiment_id: a registry id
+            (:func:`repro.registry.experiment_ids`).
         output_dir: where to write the artifacts (created if missing);
             defaults to ``profiles/<experiment_id>``.
         ring_size: in-memory event buffer size (the JSONL sink always
             receives every event).
         runner: override for the experiment runner (tests); defaults to
-            :func:`repro.analysis.experiments.run`.
+            :func:`repro.registry.run`.
         **kwargs: forwarded to the experiment runner (``repetitions``,
             ``scale``, ``seed``, ...).
     """

@@ -10,15 +10,16 @@ report.  :func:`run` executes a spec through the shared
 experiment supports ``--jobs``, ``--cache``, fault plans and obs
 manifests uniformly.
 
-The core types import before the spec modules on purpose:
-``repro.analysis.experiments`` (the compatibility shim) imports only
-the names below, and the spec modules import analysis rendering
-helpers, so loading the actual experiment definitions is deferred to
+This package is the one door into the registry: ``repro.run``,
+``repro.experiment_ids`` and every CLI command come through it, and
+the commands run experiments through :func:`repro.exec.plan.execute`.
+The spec modules import the :mod:`repro.analysis` rendering helpers,
+so loading the experiment definitions is deferred to
 :func:`load_specs` / first registry access.
 """
 
 from repro.registry.result import ExperimentResult
-from repro.registry.runner import experiment_points, main, run
+from repro.registry.runner import run
 from repro.registry.spec import (
     AXIS_KEY_FORMATS,
     DEFAULT_FUZZ_DOMAINS,
@@ -43,10 +44,8 @@ __all__ = [
     "UnknownExperimentError",
     "all_specs",
     "experiment_ids",
-    "experiment_points",
     "get_spec",
     "load_specs",
-    "main",
     "register",
     "run",
 ]

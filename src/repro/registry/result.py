@@ -1,8 +1,7 @@
 """The result type every experiment produces.
 
-Lives in its own module so spec modules, the runner, and the
-``repro.analysis`` compatibility shim can all import it without
-touching the registry machinery.
+Lives in its own module so spec modules and the runner can import it
+without touching the registry machinery.
 """
 
 from __future__ import annotations

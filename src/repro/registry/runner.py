@@ -1,9 +1,9 @@
 """Run registered experiments: resolve params, dispatch points, aggregate.
 
-This is the single entry point behind ``python -m repro
-experiment/run/profile``, every fault-plan point
-(:func:`repro.faults.runner.run_fault_point_task`), and the benchmark
-harness.  Dispatch:
+This is the single entry point behind :func:`repro.exec.plan.execute`
+(and so every CLI command, scenario cell and served job), every
+fault-plan point (:func:`repro.faults.runner.run_fault_point_task`),
+and the benchmark harness.  Dispatch:
 
 - **Serial** (default, and always when a fault plan is installed,
   because injectors keep process-global state): every point's
@@ -22,14 +22,14 @@ byte-identical across modes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence
+from typing import Any, Dict
 
 from repro.exec.cache import canonical_payload
 from repro.exec.context import get_exec_config
 from repro.faults.plan import get_fault_plan
 from repro.obs.tracer import get_tracer
 from repro.registry.result import ExperimentResult
-from repro.registry.spec import ExperimentSpec, experiment_ids, get_spec
+from repro.registry.spec import ExperimentSpec, get_spec
 
 
 def _dispatch(spec: ExperimentSpec, kwargs: Dict[str, Any]) -> ExperimentResult:
@@ -61,28 +61,3 @@ def run(experiment_id: str, **kwargs: Any) -> ExperimentResult:
     tracer.count("experiment.runs")
     tracer.emit("experiment.end", experiment=experiment_id, title=result.title)
     return result
-
-
-def experiment_points(experiment_id: str, **overrides: Any) -> Dict[str, dict]:
-    """Decompose an experiment into independently runnable sweep points.
-
-    Returns an ordered mapping ``{point_key: runner_kwargs}`` such that
-    running the experiment once per entry covers the same parameter
-    space as one full run — the unit of checkpointing for fault-plan
-    sweeps (:func:`repro.faults.runner.run_plan_resilient`).
-    Each point carries only the caller's overrides, with the spec's
-    sweep axis pinned to a single value (keys like ``"N=64"``);
-    experiments with no axis run as one point keyed ``"all"``.
-    """
-    return get_spec(experiment_id).sparse_points(overrides)
-
-
-def main(argv: Sequence[str]) -> int:
-    if len(argv) < 2:
-        print("usage: python -m repro.registry <id> [...]")
-        print("experiments:", ", ".join(experiment_ids()))
-        return 1
-    for experiment_id in argv[1:]:
-        print(run(experiment_id))
-        print()
-    return 0

@@ -24,7 +24,7 @@ lazily so ``import repro`` stays cheap and cycle-free.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.registry.result import ExperimentResult
@@ -248,8 +248,8 @@ class Param:
         return items
 
 
-#: Key label for each recognised sweep axis, mirroring the historical
-#: ``experiment_points`` keys the fault checkpoints are stored under.
+#: Key label for each recognised sweep axis: the point keys
+#: (``"N=64"``) the fault checkpoints are stored under.
 AXIS_KEY_FORMATS: Dict[str, Callable[[Any], str]] = {
     "n_values": lambda v: f"N={v}",
     "a_values": lambda v: f"A={v}",
@@ -272,9 +272,6 @@ class ExperimentSpec:
     run_point: Callable[..., dict]
     aggregate: Callable[[Dict[str, dict], Dict[str, Any]], ExperimentResult]
     axis: Optional[str] = None
-    _runner: Optional[Callable[..., ExperimentResult]] = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         names = [param.name for param in self.params]
@@ -342,10 +339,12 @@ class ExperimentSpec:
     def sparse_points(self, overrides: Dict[str, Any]) -> Dict[str, dict]:
         """Decompose into points carrying only the caller's overrides.
 
-        The historical :func:`repro.analysis.experiments.experiment_points`
-        contract, preserved because fault checkpoints digest their point
-        kwargs: every point's kwargs are ``overrides`` with the sweep
-        axis pinned to one value, defaults left implicit.
+        The unit of checkpointing for fault-plan sweeps
+        (:func:`repro.faults.runner.run_plan_resilient`), kept sparse
+        because fault checkpoints digest their point kwargs: every
+        point's kwargs are ``overrides`` with the sweep axis pinned to
+        one value, defaults left implicit; experiments with no axis run
+        as one point keyed ``"all"``.
         """
         base = {
             name: self.get_param(name).coerce(value)
@@ -392,22 +391,6 @@ class ExperimentSpec:
                 line += f"  — {param.doc}"
             lines.append(line)
         return "\n".join(lines)
-
-    def runner(self) -> Callable[..., ExperimentResult]:
-        """A legacy-style ``run_*`` callable (memoised per spec)."""
-        if self._runner is None:
-            spec = self
-
-            def run_experiment(**kwargs: Any) -> ExperimentResult:
-                from repro.registry.runner import run
-
-                return run(spec.id, **kwargs)
-
-            run_experiment.__name__ = f"run_{self.id}"
-            run_experiment.__qualname__ = run_experiment.__name__
-            run_experiment.__doc__ = self.summary
-            self._runner = run_experiment
-        return self._runner
 
 
 # -- the registry --------------------------------------------------------

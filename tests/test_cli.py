@@ -60,7 +60,7 @@ class TestUnknownExperimentErrors:
 
 
 class TestRepetitionsValidation:
-    """``verify --repetitions`` below 1 is a usage error, not a traceback."""
+    """``--repetitions`` below 1 is a usage error, not a traceback."""
 
     @pytest.mark.parametrize(
         "value,message",
@@ -76,6 +76,25 @@ class TestRepetitionsValidation:
         assert excinfo.value.code == 2
         last = capsys.readouterr().err.strip().splitlines()[-1]
         assert last.endswith(f" verify: error: argument --repetitions: {message}")
+
+    @pytest.mark.parametrize("command", [
+        ["run", "figure5"],
+        ["experiment", "figure5"],
+        ["profile", "figure5"],
+        ["barrier"],
+        ["advise"],
+        ["faults", "figure5"],
+        ["chaos", "figure5"],
+    ], ids=lambda command: command[0])
+    def test_every_command_rejects_zero_repetitions(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*command, "--repetitions", "0"])
+        assert excinfo.value.code == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last.endswith(
+            f" {command[0]}: error: argument --repetitions: "
+            "repetitions must be >= 1, got 0"
+        )
 
     def test_verify_accepts_positive_repetitions(self):
         args = build_parser().parse_args(["verify", "--repetitions", "5"])
@@ -118,18 +137,22 @@ class TestReportCommand:
         # Patch the registry to two fast experiments so the test stays
         # quick while exercising the real command path.
         import repro.cli.report as report_cmd
-        from repro.analysis.experiments import ExperimentResult
+        from repro.exec.plan import PlanOutcome
+        from repro.registry import ExperimentResult
 
         calls = []
 
-        def fake_run(experiment_id, **kwargs):
-            calls.append(experiment_id)
-            return ExperimentResult(experiment_id, "t", "body", {"x": 1})
+        def fake_execute(plan, **kwargs):
+            calls.append(plan.experiment_id)
+            result = ExperimentResult(
+                plan.experiment_id, "t", "body", {"x": 1}
+            )
+            return PlanOutcome(plan=plan, result=result)
 
         monkeypatch.setattr(
-            report_cmd, "EXPERIMENTS", {"alpha": None, "beta": None}
+            report_cmd, "experiment_ids", lambda: ["alpha", "beta"]
         )
-        monkeypatch.setattr(report_cmd, "run_experiment", fake_run)
+        monkeypatch.setattr(report_cmd, "execute", fake_execute)
         out = tmp_path / "reports"
         code = main(["report", "--output", str(out)])
         assert code == 0
@@ -140,13 +163,56 @@ class TestReportCommand:
     def test_report_counts_failures(self, tmp_path, monkeypatch):
         import repro.cli.report as report_cmd
 
-        def exploding_run(experiment_id, **kwargs):
+        def exploding_execute(plan, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(report_cmd, "EXPERIMENTS", {"alpha": None})
-        monkeypatch.setattr(report_cmd, "run_experiment", exploding_run)
+        monkeypatch.setattr(report_cmd, "experiment_ids", lambda: ["alpha"])
+        monkeypatch.setattr(report_cmd, "execute", exploding_execute)
         code = main(["report", "--output", str(tmp_path / "r")])
         assert code == 1
+
+
+class TestCommandsRunOnTheSpine:
+    """``experiment`` and ``report`` run each id through ``execute(plan)``."""
+
+    @pytest.fixture
+    def plans(self, monkeypatch):
+        import repro.cli.experiment as experiment_cmd
+        import repro.cli.report as report_cmd
+        import repro.exec.plan as plan_module
+        from repro.registry import ExperimentResult
+
+        assert experiment_cmd.execute is plan_module.execute
+        assert report_cmd.execute is plan_module.execute
+        seen = []
+
+        def recording_execute(plan, **kwargs):
+            seen.append(plan)
+            result = ExperimentResult(plan.experiment_id, "t", "body", {})
+            return plan_module.PlanOutcome(plan=plan, result=result)
+
+        for module in (experiment_cmd, report_cmd):
+            monkeypatch.setattr(module, "execute", recording_execute)
+        return seen
+
+    def test_experiment_executes_one_plan_per_id(self, plans, capsys):
+        argv = ["experiment", "figure5", "table1", "--repetitions", "3"]
+        assert main(argv) == 0
+        assert [plan.experiment_id for plan in plans] == ["figure5", "table1"]
+        assert plans[0].params == {"repetitions": 3}
+        assert capsys.readouterr().out.count("== ") == 2
+
+    def test_report_executes_one_plan_per_id(
+        self, plans, tmp_path, monkeypatch
+    ):
+        import repro.cli.report as report_cmd
+        from repro.exec.plan import RunPlan
+
+        monkeypatch.setattr(
+            report_cmd, "experiment_ids", lambda: ["figure4", "figure5"]
+        )
+        assert main(["report", "--output", str(tmp_path)]) == 0
+        assert plans == [RunPlan("figure4"), RunPlan("figure5")]
 
 
 class TestProfileCommand:

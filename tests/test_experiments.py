@@ -9,12 +9,8 @@ test_integration.py.
 
 import pytest
 
-from repro.analysis.experiments import (
-    EXPERIMENTS,
-    ExperimentResult,
-    run,
-    scheduled_trace,
-)
+from repro.registry import ExperimentResult, experiment_ids, run
+from repro.registry.common import scheduled_trace
 
 SMALL_N = (2, 8, 32)
 
@@ -55,13 +51,13 @@ FAST_KWARGS = {
 
 class TestRegistry:
     def test_all_experiments_have_fast_kwargs(self):
-        assert set(FAST_KWARGS) == set(EXPERIMENTS)
+        assert set(FAST_KWARGS) == set(experiment_ids())
 
     def test_unknown_id_raises(self):
         with pytest.raises(KeyError):
             run("figure99")
 
-    @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
+    @pytest.mark.parametrize("experiment_id", experiment_ids())
     def test_experiment_runs_and_reports(self, experiment_id):
         result = run(experiment_id, **FAST_KWARGS[experiment_id])
         assert isinstance(result, ExperimentResult)

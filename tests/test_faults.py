@@ -551,31 +551,33 @@ class TestCheckpointStore:
 
 class TestExperimentPoints:
     def test_figure5_splits_on_n(self):
-        from repro.analysis.experiments import experiment_points
+        from repro.registry import get_spec
 
-        points = experiment_points("figure5", repetitions=1)
+        points = get_spec("figure5").sparse_points({"repetitions": 1})
         assert all(key.startswith("N=") for key in points)
         assert all(
             len(kwargs["n_values"]) == 1 for kwargs in points.values()
         )
 
     def test_override_narrows_sweep(self):
-        from repro.analysis.experiments import experiment_points
+        from repro.registry import get_spec
 
-        points = experiment_points("figure5", n_values=(4, 8), repetitions=1)
+        points = get_spec("figure5").sparse_points(
+            {"n_values": (4, 8), "repetitions": 1}
+        )
         assert sorted(points) == ["N=4", "N=8"]
 
     def test_empty_axis_rejected(self):
-        from repro.analysis.experiments import experiment_points
+        from repro.registry import get_spec
 
         with pytest.raises(ValueError):
-            experiment_points("figure5", n_values=())
+            get_spec("figure5").sparse_points({"n_values": ()})
 
     def test_unknown_experiment_rejected(self):
-        from repro.analysis.experiments import experiment_points
+        from repro.registry import get_spec
 
         with pytest.raises(KeyError, match="unknown experiment"):
-            experiment_points("figure99")
+            get_spec("figure99")
 
 
 class TestEndToEndResilience:

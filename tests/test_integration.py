@@ -8,7 +8,8 @@ crossovers fall.
 
 import pytest
 
-from repro.analysis.experiments import run, scheduled_trace
+from repro.registry import run
+from repro.registry.common import scheduled_trace
 from repro.barrier.models import model1_accesses, model2_accesses
 from repro.barrier.simulator import simulate_barrier
 from repro.core.backoff import ExponentialFlagBackoff, NoBackoff, VariableBackoff

@@ -25,8 +25,8 @@ class TestPublicSurface:
         assert backoff.savings_vs(baseline) > 0.9
 
     def test_experiment_registry_exposed(self):
-        assert "figure5" in repro.EXPERIMENTS
-        assert len(repro.EXPERIMENTS) == 28
+        assert "figure5" in repro.experiment_ids()
+        assert len(repro.experiment_ids()) == 28
 
     def test_subpackages_importable(self):
         for module in (

@@ -136,28 +136,28 @@ class TestSpecSchema:
 
 class TestExperimentPoints:
     def test_axis_decomposition_keys(self):
-        from repro.registry import experiment_points
+        from repro.registry import get_spec
 
-        points = experiment_points("figure5", n_values=(2, 8))
+        points = get_spec("figure5").sparse_points({"n_values": (2, 8)})
         assert list(points) == ["N=2", "N=8"]
         assert points["N=2"] == {"n_values": (2,)}
 
     def test_no_axis_single_point(self):
-        from repro.registry import experiment_points
+        from repro.registry import get_spec
 
-        points = experiment_points("fft_traffic", scale=0.1)
+        points = get_spec("fft_traffic").sparse_points({"scale": 0.1})
         assert list(points) == ["all"]
         assert points["all"] == {"scale": 0.1}
 
     def test_empty_axis_raises(self):
-        from repro.registry import experiment_points
+        from repro.registry import get_spec
 
         with pytest.raises(ValueError):
-            experiment_points("figure5", n_values=())
+            get_spec("figure5").sparse_points({"n_values": ()})
 
     def test_unknown_experiment_raises_keyerror_listing_known(self):
-        from repro.registry import experiment_points
+        from repro.registry import get_spec
 
         with pytest.raises(KeyError) as excinfo:
-            experiment_points("figure99")
+            get_spec("figure99")
         assert "figure5" in str(excinfo.value)
