@@ -30,11 +30,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.faults.plan import GRANT_DROP, GRANT_DUP, get_fault_plan
-from repro.network.netbackoff import (
-    CollisionInfo,
-    ImmediateRetry,
-    NetworkBackoffPolicy,
-)
+from repro.network.netbackoff import ImmediateRetry, NetworkBackoffPolicy
 from repro.obs.tracer import get_tracer
 from repro.sim.stats import Histogram, RunningStats
 
@@ -181,6 +177,11 @@ class MultistageNetwork:
         path is computed once, at its first attempt, and travels with it
         in the event heap; a message never attempted before the horizon
         is never routed, so its ports are never range-checked.
+
+        A backoff policy that returns a negative delay raises
+        ``ValueError``.  The latency and attempts-per-message statistics run
+        :meth:`RunningStats.add`'s recurrence in locals and are handed to
+        the result once, at the end.
         """
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
@@ -195,17 +196,23 @@ class MultistageNetwork:
         delay_of = backoff.delay
         route = self.route_links
         on_complete = workload.on_complete
-        add_latency = result.latency.add
-        add_attempts = result.attempts_per_message.add
         heappush = heapq.heappush
         heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         busy = self._busy_until = [0] * (stages * num_ports)
         pending = self._dest_pending = [0] * num_ports
         depth_counts = [0] * (stages + 1)
-        attempts = collisions = completed = 0
+        attempts = completed = 0
+        # Welford state of the latency and attempts-per-message statistics;
+        # both count ``completed`` values.
+        lat_mean = lat_m2 = tried_mean = tried_m2 = 0.0
+        lat_min = tried_min = float("inf")
+        lat_max = tried_max = float("-inf")
         # Entries are (time, seq, message, path), path None until the
         # first attempt; seq is unique, so the message and path never take
-        # part in a comparison.
+        # part in a comparison, and the order of events does not depend on
+        # how the heap is arranged.  An event stays at heap[0] while it is
+        # handled, and its successor event replaces it in one sift.
         heap: List[Tuple[int, int, NetworkMessage, Optional[Tuple[int, ...]]]] = []
         seq = 0
 
@@ -218,12 +225,12 @@ class MultistageNetwork:
             seq += 1
 
         while heap:
-            time, __, message, path = heappop(heap)
+            time, __, message, path = heap[0]
             if time >= horizon:
                 break
             if path is None:
                 path = route(message.source, message.dest)
-            message.attempts += 1
+            tried = message.attempts = message.attempts + 1
             attempts += 1
             # Claim the whole path, or find the first busy link.
             depth = 0
@@ -242,7 +249,7 @@ class MultistageNetwork:
                         # circuit held its links for the round trip but the
                         # requester saw nothing, so it retries afterwards.
                         result.dropped_grants += 1
-                        heappush(heap, (time + hold + 1, seq, message, path))
+                        heapreplace(heap, (time + hold + 1, seq, message, path))
                         seq += 1
                         continue
                     if outcome == GRANT_DUP:
@@ -253,39 +260,51 @@ class MultistageNetwork:
                 message.completed_time = release
                 pending[message.dest] -= 1
                 completed += 1
-                add_latency(release - message.issue_time)
-                add_attempts(message.attempts)
+                value = release - message.issue_time
+                delta = value - lat_mean
+                lat_mean += delta / completed
+                lat_m2 += delta * (value - lat_mean)
+                if value < lat_min:
+                    lat_min = value
+                if value > lat_max:
+                    lat_max = value
+                delta = tried - tried_mean
+                tried_mean += delta / completed
+                tried_m2 += delta * (tried - tried_mean)
+                if tried < tried_min:
+                    tried_min = tried
+                if tried > tried_max:
+                    tried_max = tried
                 successor = on_complete(message, release)
-                if successor is not None:
+                if successor is None:
+                    heappop(heap)
+                else:
                     if 0 <= successor.dest < num_ports:
                         pending[successor.dest] += 1
-                    heappush(heap, (successor.issue_time, seq, successor, None))
+                    heapreplace(heap, (successor.issue_time, seq, successor, None))
                     seq += 1
             else:
                 depth += 1  # stages traversed, counting the colliding one
-                tries = message.tries = message.tries + 1
-                collisions += 1
                 depth_counts[depth] += 1
-                info = CollisionInfo(
-                    depth=depth,
-                    stages=stages,
-                    tries=tries,
-                    round_trip=hold,
-                    queue_length=pending[message.dest] - 1,
-                )
-                delay = delay_of(info)
+                tries = message.tries = message.tries + 1
+                queue_length = pending[message.dest] - 1
+                delay = delay_of(depth, stages, tries, hold, queue_length)
                 if delay < 0:
                     raise ValueError(
                         f"backoff policy {backoff!r} returned negative delay"
                     )
                 if trace_on:
                     tracer.count("network.collisions")
-                    tracer.observe("network.hotspot_queue_length", info.queue_length)
+                    tracer.observe("network.hotspot_queue_length", queue_length)
                     tracer.observe("network.collision_depth", depth)
-                heappush(heap, (time + 1 + delay, seq, message, path))
+                heapreplace(heap, (time + 1 + delay, seq, message, path))
                 seq += 1
+        result.latency.load(completed, lat_mean, lat_m2, lat_min, lat_max)
+        result.attempts_per_message.load(
+            completed, tried_mean, tried_m2, tried_min, tried_max
+        )
         result.attempts = attempts
-        result.collisions = collisions
+        result.collisions = sum(depth_counts)
         result.completed = completed
         for depth, count in enumerate(depth_counts):
             if count:

@@ -14,37 +14,15 @@ interval after a collision in an unbuffered circuit-switched network:
 5. proportional to the memory-module queue length, using feedback in
    the style of Scott & Sohi.
 
-Each strategy is a :class:`NetworkBackoffPolicy`; the multistage network
-simulator (:mod:`repro.network.multistage`) calls
-:meth:`NetworkBackoffPolicy.delay` with a :class:`CollisionInfo`
-describing the failed attempt and waits the returned number of cycles
-before retrying.
+Each strategy is a :class:`NetworkBackoffPolicy`.  The multistage
+network simulator (:mod:`repro.network.multistage`) and the
+packet-switched one (:mod:`repro.network.packet`) call
+:meth:`NetworkBackoffPolicy.delay` with five plain ints describing the
+failed attempt, and wait the returned number of cycles before retrying.
+Both raise ``ValueError`` if a policy returns a negative delay.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class CollisionInfo:
-    """Everything a backoff policy may condition on after a collision.
-
-    Attributes:
-        depth: stages the message traversed before colliding (1-based;
-            a collision in the first stage has depth 1).
-        stages: total number of stages in the network.
-        tries: unsuccessful attempts so far, including this one.
-        round_trip: the network's average round-trip time in cycles.
-        queue_length: occupancy of the destination module's queue at the
-            time of the attempt (0 if the network does not model queues).
-    """
-
-    depth: int
-    stages: int
-    tries: int
-    round_trip: int
-    queue_length: int = 0
 
 
 class NetworkBackoffPolicy:
@@ -52,7 +30,20 @@ class NetworkBackoffPolicy:
 
     name = "abstract"
 
-    def delay(self, info: CollisionInfo) -> int:
+    def delay(
+        self, depth: int, stages: int, tries: int, round_trip: int, queue_length: int
+    ) -> int:
+        """Cycles to wait before the next attempt.
+
+        Args:
+            depth: stages the message traversed before colliding
+                (1-based; a collision in the first stage has depth 1).
+            stages: total number of stages in the network.
+            tries: unsuccessful attempts so far, including this one.
+            round_trip: the network's average round-trip time in cycles.
+            queue_length: occupancy of the destination module's queue at
+                the time of the attempt.
+        """
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -64,7 +55,7 @@ class ImmediateRetry(NetworkBackoffPolicy):
 
     name = "immediate"
 
-    def delay(self, info: CollisionInfo) -> int:
+    def delay(self, depth, stages, tries, round_trip, queue_length) -> int:
         return 0
 
 
@@ -82,8 +73,8 @@ class DepthProportionalBackoff(NetworkBackoffPolicy):
             raise ValueError("factor must be >= 1")
         self.factor = factor
 
-    def delay(self, info: CollisionInfo) -> int:
-        return self.factor * info.depth
+    def delay(self, depth, stages, tries, round_trip, queue_length) -> int:
+        return self.factor * depth
 
     def __repr__(self) -> str:
         return f"DepthProportionalBackoff(factor={self.factor})"
@@ -103,8 +94,8 @@ class InverseDepthBackoff(NetworkBackoffPolicy):
             raise ValueError("factor must be >= 1")
         self.factor = factor
 
-    def delay(self, info: CollisionInfo) -> int:
-        remaining = max(info.stages - info.depth + 1, 1)
+    def delay(self, depth, stages, tries, round_trip, queue_length) -> int:
+        remaining = max(stages - depth + 1, 1)
         return self.factor * remaining
 
     def __repr__(self) -> str:
@@ -121,8 +112,8 @@ class ConstantRoundTripBackoff(NetworkBackoffPolicy):
             raise ValueError("multiple must be positive")
         self.multiple = multiple
 
-    def delay(self, info: CollisionInfo) -> int:
-        return max(int(self.multiple * info.round_trip), 1)
+    def delay(self, depth, stages, tries, round_trip, queue_length) -> int:
+        return max(int(self.multiple * round_trip), 1)
 
     def __repr__(self) -> str:
         return f"ConstantRoundTripBackoff(multiple={self.multiple})"
@@ -146,8 +137,8 @@ class ExponentialRetryBackoff(NetworkBackoffPolicy):
         self.base = base
         self.cap = cap
 
-    def delay(self, info: CollisionInfo) -> int:
-        exponent = min(info.tries, 32)
+    def delay(self, depth, stages, tries, round_trip, queue_length) -> int:
+        exponent = min(tries, 32)
         return min(self.base**exponent, self.cap)
 
     def __repr__(self) -> str:
@@ -169,8 +160,8 @@ class QueueFeedbackBackoff(NetworkBackoffPolicy):
             raise ValueError("factor must be >= 1")
         self.factor = factor
 
-    def delay(self, info: CollisionInfo) -> int:
-        return self.factor * info.queue_length
+    def delay(self, depth, stages, tries, round_trip, queue_length) -> int:
+        return self.factor * queue_length
 
     def __repr__(self) -> str:
         return f"QueueFeedbackBackoff(factor={self.factor})"

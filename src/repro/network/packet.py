@@ -30,26 +30,14 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.network.multistage import omega_links
-from repro.network.netbackoff import (
-    CollisionInfo,
-    ImmediateRetry,
-    NetworkBackoffPolicy,
-)
+from repro.network.netbackoff import ImmediateRetry, NetworkBackoffPolicy
 from repro.sim.rng import BlockDraws, spawn_stream
 from repro.sim.stats import RunningStats
 
-
-class _Packet:
-    """One request packet in flight."""
-
-    __slots__ = ("dest", "injected_at", "path")
-
-    def __init__(self, dest: int, injected_at: int, path: Tuple[int, ...]) -> None:
-        self.dest = dest
-        self.injected_at = injected_at
-        #: Flat queue ids ``stage * P + line``, one per stage: a packet
-        #: in a stage-``s`` queue moves on to ``path[s + 1]``.
-        self.path = path
+#: A request packet in flight: ``(injected_at, path)``.  ``path`` holds
+#: the flat queue ids ``stage * P + line``, one per stage; a packet in a
+#: stage-``s`` queue moves on to ``path[s + 1]``.
+Packet = Tuple[int, Tuple[int, ...]]
 
 
 @dataclass
@@ -119,9 +107,9 @@ class PacketSwitchedNetwork:
         self.memory_service = memory_service
         # _queues[stage * P + line]: the FIFO of that switch output.  A
         # run starts from empty queues and leaves its final ones here.
-        self._queues: List[Deque[_Packet]] = self._empty_queues()
+        self._queues: List[Deque[Packet]] = self._empty_queues()
 
-    def _empty_queues(self) -> List[Deque[_Packet]]:
+    def _empty_queues(self) -> List[Deque[Packet]]:
         return [deque() for __ in range(self.num_stages * self.num_ports)]
 
     def route(self, source: int, dest: int) -> Tuple[Tuple[int, int], ...]:
@@ -159,6 +147,8 @@ class PacketSwitchedNetwork:
         processors back off sending requests by some time proportional
         to the length of the queue".  Requests to congested modules are
         postponed instead of being pumped into the saturating tree.
+
+        A policy that returns a negative delay raises ``ValueError``.
         """
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
@@ -175,8 +165,6 @@ class PacketSwitchedNetwork:
         random = rng.random
         integers = rng.integers
         result = PacketRunResult(horizon=horizon, num_ports=self.num_ports)
-        add_hot = result.latency_hot.add
-        add_cold = result.latency_cold.add
 
         num_ports = self.num_ports
         stages = self.num_stages
@@ -184,14 +172,26 @@ class PacketSwitchedNetwork:
         service = self.memory_service
         queues = self._queues = self._empty_queues()
         # The queues of each stage, and the final stage's (module ``dest``
-        # is fed by last_queues[dest], queue id last_base + dest).
+        # is fed by last_queues[dest], queue id last_base + dest).  By
+        # convention the hot module is port 0: a packet is hot iff it
+        # ends in last_queues[0], i.e. path[-1] == last_base.
         stage_queues = [
             queues[stage * num_ports:(stage + 1) * num_ports]
             for stage in range(stages)
         ]
         last_queues = stage_queues[-1]
+        hot_queue = last_queues[0]
+        cold_queues = last_queues[1:]
         last_base = (stages - 1) * num_ports
         round_trip = 2 * stages
+        # Forwarding order: back to front, each stage's queues with the
+        # index of the next stage's entry in a packet's path.
+        forward = [
+            (stage + 1, stage_queues[stage]) for stage in range(stages - 2, -1, -1)
+        ]
+        # claimed[queue] == now: that queue already accepted a packet this
+        # cycle (2x2 switch arbitration admits one per cycle).
+        claimed = [-1] * len(queues)
 
         # Per-port injection state; a request waiting to inject is kept
         # as its path (its dest is path[-1] - last_base).
@@ -199,38 +199,52 @@ class PacketSwitchedNetwork:
         blocked_tries = [0] * num_ports
         pending: List[Optional[Tuple[int, ...]]] = [None] * num_ports
         ports = range(num_ports)
+        injected = blocked = 0
+        # Welford state of the hot and cold latency statistics.
+        hot_n = cold_n = 0
+        hot_mean = hot_m2 = cold_mean = cold_m2 = 0.0
+        hot_min = cold_min = float("inf")
+        hot_max = cold_max = float("-inf")
 
         for now in range(horizon):
-            # 1. Memory modules drain their final-stage queues.
-            for queue in last_queues:
-                if not queue:
-                    continue
+            # 1. Memory modules drain their final-stage queues; a packet
+            #    drained at cycle ``now`` took now - injected_at + 1 cycles.
+            done = now + 1
+            if hot_queue:
+                for __ in range(min(service, len(hot_queue))):
+                    value = done - hot_queue.popleft()[0]
+                    hot_n += 1
+                    delta = value - hot_mean
+                    hot_mean += delta / hot_n
+                    hot_m2 += delta * (value - hot_mean)
+                    if value < hot_min:
+                        hot_min = value
+                    if value > hot_max:
+                        hot_max = value
+            for queue in filter(None, cold_queues):
                 for __ in range(min(service, len(queue))):
-                    packet = queue.popleft()
-                    # By convention the hot module is port 0.
-                    if packet.dest == 0:
-                        result.delivered_hot += 1
-                        add_hot(now - packet.injected_at + 1)
-                    else:
-                        result.delivered_cold += 1
-                        add_cold(now - packet.injected_at + 1)
+                    value = done - queue.popleft()[0]
+                    cold_n += 1
+                    delta = value - cold_mean
+                    cold_mean += delta / cold_n
+                    cold_m2 += delta * (value - cold_mean)
+                    if value < cold_min:
+                        cold_min = value
+                    if value > cold_max:
+                        cold_max = value
 
             # 2. Forward packets stage by stage, back to front, one
-            #    acceptance per queue per cycle (2x2 switch arbitration).
-            for stage in range(stages - 2, -1, -1):
-                next_stage = stage + 1
-                accepted = set()
-                for queue in stage_queues[stage]:
-                    if not queue:
-                        continue
-                    next_link = queue[0].path[next_stage]
-                    if next_link in accepted:
+            #    acceptance per queue per cycle.
+            for next_stage, from_queues in forward:
+                for queue in filter(None, from_queues):
+                    next_link = queue[0][1][next_stage]
+                    if claimed[next_link] == now:
                         continue
                     target = queues[next_link]
                     if len(target) >= capacity:
                         continue
                     target.append(queue.popleft())
-                    accepted.add(next_link)
+                    claimed[next_link] = now
 
             # 3. Injections.
             for port in ports:
@@ -247,36 +261,41 @@ class PacketSwitchedNetwork:
                 if proactive:
                     occupancy = len(last_queues[dest])
                     if occupancy:
-                        info = CollisionInfo(
-                            depth=1,
-                            stages=stages,
-                            tries=blocked_tries[port],
-                            round_trip=round_trip,
-                            queue_length=occupancy,
+                        delay = delay_of(
+                            1, stages, blocked_tries[port], round_trip, occupancy
                         )
-                        delay = delay_of(info)
-                        if delay > 0:
+                        if delay < 0:
+                            raise ValueError(
+                                f"backoff policy {policy!r} returned negative delay"
+                            )
+                        if delay:
                             pending[port] = path
                             next_try[port] = now + delay
                             continue
                 entry = queues[path[0]]
                 if len(entry) < capacity:
-                    entry.append(_Packet(dest, now, path))
-                    result.injected += 1
+                    entry.append((now, path))
+                    injected += 1
                     pending[port] = None
                     blocked_tries[port] = 0
                 else:
-                    result.injection_blocked += 1
+                    blocked += 1
                     pending[port] = path
-                    blocked_tries[port] += 1
-                    info = CollisionInfo(
-                        depth=1,
-                        stages=stages,
-                        tries=blocked_tries[port],
-                        round_trip=round_trip,
-                        queue_length=len(last_queues[dest]),
+                    tries = blocked_tries[port] = blocked_tries[port] + 1
+                    delay = delay_of(
+                        1, stages, tries, round_trip, len(last_queues[dest])
                     )
-                    next_try[port] = now + 1 + max(delay_of(info), 0)
+                    if delay < 0:
+                        raise ValueError(
+                            f"backoff policy {policy!r} returned negative delay"
+                        )
+                    next_try[port] = now + 1 + delay
+        result.delivered_hot = hot_n
+        result.delivered_cold = cold_n
+        result.injected = injected
+        result.injection_blocked = blocked
+        result.latency_hot.load(hot_n, hot_mean, hot_m2, hot_min, hot_max)
+        result.latency_cold.load(cold_n, cold_mean, cold_m2, cold_min, cold_max)
         return result
 
 

@@ -5,11 +5,12 @@ callback)`` tuple kept in a binary heap.  Determinism is guaranteed by the
 monotonically increasing sequence number, which breaks ties between events
 scheduled for the same time with the same priority in insertion order.
 
-The barrier simulator in :mod:`repro.barrier.simulator` does *not* use this
-kernel (it uses a specialised FIFO-collapse of the paper's per-cycle retry
-loop); the kernel serves the multistage network simulator, the resource
-simulator and the queueing simulator, which have genuinely event-driven
-structure.
+No shipped simulator runs on this kernel.  The barrier simulator in
+:mod:`repro.barrier.simulator` uses a specialised FIFO-collapse of the
+paper's per-cycle retry loop, and the multistage network, resource and
+queueing simulators each keep their own ``heapq`` event loop.  So the
+``event_jitter`` fault, which acts only through :meth:`Simulator.schedule`,
+and :class:`SimulationStalledError` reach no experiment.
 """
 
 from __future__ import annotations

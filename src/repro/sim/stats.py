@@ -59,6 +59,22 @@ class RunningStats:
         for value in values:
             self.add(value)
 
+    def load(
+        self, count: int, mean: float, m2: float, minimum: float, maximum: float
+    ) -> None:
+        """Take over state that a hot loop accumulated in locals.
+
+        The loop must run :meth:`add`'s recurrence (same operations, same
+        order), so every float is bit-identical to ``count`` calls of
+        :meth:`add`.  With ``count == 0`` the statistics are empty, and
+        ``minimum`` and ``maximum`` are ignored.
+        """
+        self.count = count
+        self._mean = mean
+        self._m2 = m2
+        self.minimum = minimum if count else None
+        self.maximum = maximum if count else None
+
     @property
     def mean(self) -> float:
         return self._mean if self.count else 0.0

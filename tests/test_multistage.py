@@ -11,8 +11,18 @@ from repro.network.multistage import (
 from repro.network.netbackoff import (
     ExponentialRetryBackoff,
     ImmediateRetry,
+    NetworkBackoffPolicy,
     QueueFeedbackBackoff,
 )
+
+
+class NegativeBackoff(NetworkBackoffPolicy):
+    """A broken policy: asks to retry before the collision happened."""
+
+    name = "negative"
+
+    def delay(self, *collision):
+        return -1
 
 
 class ListWorkload(Workload):
@@ -143,6 +153,15 @@ class TestSimulation:
         messages = [NetworkMessage(source=0, dest=1, issue_time=0)]
         result = network.run(ListWorkload(messages), horizon=100)
         assert result.throughput == pytest.approx(0.01)
+
+    def test_negative_backoff_delay_raises(self):
+        network = MultistageNetwork(num_ports=8, backoff=NegativeBackoff())
+        messages = [
+            NetworkMessage(source=0, dest=3, issue_time=0),
+            NetworkMessage(source=1, dest=3, issue_time=0),
+        ]
+        with pytest.raises(ValueError, match="negative delay"):
+            network.run(ListWorkload(messages), horizon=100)
 
     def test_invalid_hold_time(self):
         with pytest.raises(ValueError):

@@ -2,11 +2,24 @@
 
 import pytest
 
-from repro.network.netbackoff import ExponentialRetryBackoff, QueueFeedbackBackoff
+from repro.network.netbackoff import (
+    ExponentialRetryBackoff,
+    NetworkBackoffPolicy,
+    QueueFeedbackBackoff,
+)
 from repro.network.packet import (
     PacketSwitchedNetwork,
     tree_saturation_sweep,
 )
+
+
+class NegativeBackoff(NetworkBackoffPolicy):
+    """A broken policy: asks to retry before the collision happened."""
+
+    name = "negative"
+
+    def delay(self, *collision):
+        return -1
 
 
 class TestConstruction:
@@ -65,6 +78,20 @@ class TestRunBasics:
             network.run(horizon=10, injection_rate=1.5, hot_fraction=0.0)
         with pytest.raises(ValueError):
             network.run(horizon=10, injection_rate=0.1, hot_fraction=-0.1)
+
+    @pytest.mark.parametrize("proactive", [False, True], ids=["reactive", "proactive"])
+    def test_negative_backoff_delay_raises(self, proactive):
+        # Every port injects to the hot module each cycle, so injections
+        # block (reactive) and its queue is occupied (proactive).
+        network = PacketSwitchedNetwork(num_ports=8)
+        with pytest.raises(ValueError, match="negative delay"):
+            network.run(
+                horizon=200,
+                injection_rate=1.0,
+                hot_fraction=1.0,
+                backoff=NegativeBackoff(),
+                proactive=proactive,
+            )
 
     def test_reproducible(self):
         a = PacketSwitchedNetwork(8).run(500, 0.3, 0.1, seed=4)
