@@ -119,7 +119,7 @@ GRID_POLICIES = (
 
 @pytest.mark.parametrize("policy", GRID_POLICIES, ids=lambda p: repr(p))
 @pytest.mark.parametrize("interval_a", (0, 7, 100, 250, 1000))
-@pytest.mark.parametrize("n", (1, 2, 5, 16, 33, 64))
+@pytest.mark.parametrize("n", (1, 2, 5, 16, 33, 64, 65, 130))
 def test_uniform_grid_summaries_identical(n, interval_a, policy):
     simulator = build_simulator(n, interval_a, policy, seed=3)
     assert _summaries(simulator, 4, "python") == _summaries(
