@@ -34,14 +34,14 @@ path.
 
 **Flag phase, guarded batches.**  Each processor owns at most one
 pending flag event, so an episode's pending set fits one array row,
-kept sorted by ``(ready, tie key)`` — the heap's pop order — and only
-re-sorted when an update actually disturbed a row.  Each round the
-kernel serves the longest prefix for which no failed poll's retry
-would overtake a later pending event (a retry at a strictly earlier
-time always pops first; at equal times a pending first poll or write
-is deferred one round so the tie resolves through the full sort),
+kept sorted by ``(ready, tie key)`` — the heap's pop order: each round
+every row that is out of order gets one full-width stable sort.  Each
+round the kernel serves the longest prefix for which no failed poll's
+retry would overtake a later pending event (a retry at a strictly
+earlier time always pops first; at equal times a pending first poll or
+write is deferred one round so the tie resolves through the sort),
 computes the batch grants with the same prefix recurrence, and defers
-the rest.
+the rest.  Finished rows are compacted out of the working arrays.
 
 **Tie keys.**  The heap breaks time ties by push order (``seq``).  A
 pending flag event's seq is determined by its *parent* pop — the
@@ -53,19 +53,13 @@ beat flag pops at equal times because their heap seqs (0..n-1) are
 smaller than any flag event's, and the write's slot ``n - 1`` is the
 largest variable seq, which is exactly what the packed word encodes.
 
-**Exact fast-forwarding.**  Two accelerators skip rounds without
-changing a single pop, keeping the kernel fast where the event loop
-degenerates into thousands of polls:
-
-- *Dense wait-1 skip*: when every served event is a failing poll with
-  unit retry wait and the batch's grants are consecutive, the module
-  is saturated and the next rounds repeat the same round-robin one
-  cycle later each — the kernel jumps ``M`` rounds in closed form,
-  stopping short of the first deferred event's ready time.
-- *Lone-poller skip*: when one poller and the unwritten flag write are
-  the only live events, the poller's retry trajectory is the running
-  sum of the memoized wait table; a ``searchsorted`` against that
-  cumulative sum advances it to just before the write in one step.
+**Dense wait-1 skip.**  One exact fast-forward keeps the rounds few
+where the event loop degenerates into thousands of polls: when every
+served event is a failing poll with unit retry wait and the batch's
+grants are consecutive, the module is saturated and the next rounds
+repeat the same round-robin one cycle later each — the kernel jumps
+``M`` rounds in closed form, stopping short of the first deferred
+event's ready time.
 
 The kernel refuses — :class:`KernelUnsupported`, and the caller falls
 back to the reference loop — whenever the configuration's semantics
@@ -108,7 +102,8 @@ _MAX_WAIT = 1 << 40
 _KIND_BIT = 1 << 41
 _WRITE_BIT = 1 << 40
 
-#: Caps on how far the accelerators grow the wait table in one step.
+#: Caps on one dense skip (rounds) and on the wait table the unit-wait
+#: closed form may grow.
 _MAX_SKIP = 1 << 20
 _TABLE_CAP = 1 << 20
 
@@ -135,9 +130,9 @@ def unsupported_reason(simulator) -> Optional[str]:
 class _FlagWaitTable:
     """Memoized ``max(policy.flag_wait(k), 1)`` lookups as an array.
 
-    Alongside the raw table it maintains the running sum (a poller's
-    retry trajectory, for the lone-poller skip) and the length of the
-    leading all-ones prefix (eligibility for the dense wait-1 skip).
+    Alongside the raw table it maintains the length of the leading
+    all-ones prefix (eligibility for the unit-wait closed form and the
+    dense wait-1 skip).
     """
 
     def __init__(self, policy) -> None:
@@ -146,7 +141,6 @@ class _FlagWaitTable:
         self._ones = 0
         self._ones_capped = False
         self._array = None
-        self._cum = None
 
     def ensure(self, polls: int) -> None:
         if self._array is not None and polls < len(self._values):
@@ -159,7 +153,6 @@ class _FlagWaitTable:
                 )
             self._values.append(wait)
         self._array = np.asarray(self._values, dtype=np.int64)
-        self._cum = np.cumsum(self._array)
         while not self._ones_capped and self._ones + 1 < len(self._values):
             if self._values[self._ones + 1] != 1:
                 self._ones_capped = True
@@ -171,18 +164,9 @@ class _FlagWaitTable:
         while not self._ones_capped and self._ones < target:
             self.ensure(min(max(2 * len(self._values), 64), target + 1))
 
-    def ensure_cumsum(self, total: int) -> None:
-        """Extend until the running sum reaches ``total`` (or caps)."""
-        while int(self._cum[-1]) < total and len(self._values) < _TABLE_CAP:
-            self.ensure(min(2 * len(self._values), _TABLE_CAP))
-
     @property
     def array(self):
         return self._array
-
-    @property
-    def cumsum(self):
-        return self._cum
 
     @property
     def ones_prefix(self) -> int:
@@ -328,105 +312,50 @@ def shard_summaries(
         timeout_final[ids] = timed_out[mask]
         waiting_final[ids] = waiting_work[mask]
 
-    # Per-round column chunk: serving a shorter prefix than the guard
-    # allows is still exact (deferral is conservative), so the round
-    # body runs on `chunk` columns sized to the recent batches instead
-    # of the whole row.  `touched` bounds where updates may have
-    # disturbed the order since the last round's maintenance.
-    chunk = min(n, 64)
-    touched = n
     while True:
         rows = ready.shape[0]
         row_ix = np.arange(rows)
 
-        # -- sort maintenance: only the first `touched` columns were
-        # disturbed since the last round, so a sort of that window is
-        # enough for any row whose window values all stay strictly
-        # below the first value beyond it; the rare row whose retries
-        # must travel past the boundary gets a full-width sort.  Each
-        # sort is one stable lexsort over (ready, parent time, tie
-        # word) — the heap's exact pop order, so ties need no separate
-        # repair pass.  Clean rows cost two sliced comparisons.
+        # -- sort maintenance: each out-of-order row (a descending pair,
+        # or a live tie whose tie keys may be out of order) gets one
+        # stable full-width lexsort over (ready, parent time, tie word)
+        # — the heap's exact pop order, so ties need no separate repair
+        # pass.
         if n > 1:
-            c_end = min(touched + 2, n)
-            window = ready[:, :c_end]
-            left = window[:, :-1]
-            right = window[:, 1:]
+            left = ready[:, :-1]
+            right = ready[:, 1:]
             dirty = (
                 (right < left) | ((right == left) & (right < _SENTINEL))
             ).any(axis=1)
-            if c_end < n:
-                # A live tie run crossing the window boundary must be
-                # ordered full-width, and a window value at or above
-                # the boundary value must travel past it: both take the
-                # deep (full-width) path.
-                boundary_tie = (ready[:, c_end - 1] == ready[:, c_end]) & (
-                    ready[:, c_end] < _SENTINEL
-                )
-                fits = (window.max(axis=1) < ready[:, c_end]) & ~boundary_tie
-                win_rows = dirty & fits
-                deep_rows = (dirty & ~fits) | boundary_tie
-            else:
-                win_rows = dirty
-                deep_rows = None
-            n_win = int(np.count_nonzero(win_rows))
-            if 2 * n_win >= rows:
-                # Window-sort every row: a no-op for ordered rows,
-                # superseded below for the deep rows.
-                order = np.lexsort(
-                    (tie_word[:, :c_end], tie_time[:, :c_end], window),
-                    axis=1,
-                )
-                for arr in (ready, tie_time, tie_word, polls, arr_ev):
-                    arr[:, :c_end] = np.take_along_axis(
-                        arr[:, :c_end], order, axis=1
-                    )
-            elif n_win:
-                ids = np.nonzero(win_rows)[0]
-                order = np.lexsort(
-                    (
-                        tie_word[ids, :c_end],
-                        tie_time[ids, :c_end],
-                        ready[ids, :c_end],
-                    ),
-                    axis=1,
-                )
-                for arr in (ready, tie_time, tie_word, polls, arr_ev):
-                    arr[ids, :c_end] = np.take_along_axis(
-                        arr[ids, :c_end], order, axis=1
-                    )
-            if deep_rows is not None and bool(deep_rows.any()):
-                ids = np.nonzero(deep_rows)[0]
+            if bool(dirty.any()):
+                ids = np.nonzero(dirty)[0]
                 order = np.lexsort(
                     (tie_word[ids], tie_time[ids], ready[ids]), axis=1
                 )
                 for arr in (ready, tie_time, tie_word, polls, arr_ev):
                     arr[ids] = np.take_along_axis(arr[ids], order, axis=1)
 
-        width = min(chunk, n)
-        pos_c = pos[:width]
-        r = ready[:, :width]  # view: all reads precede the writebacks
+        r = ready
         act = r < _SENTINEL
         # Module grants: prefix recurrence with the carried next_free.
         g = np.maximum(
-            pos_c + np.maximum.accumulate(r - pos_c, axis=1),
-            flag_next_free[:, None] + pos_c,
+            pos + np.maximum.accumulate(r - pos, axis=1),
+            flag_next_free[:, None] + pos,
         )
 
-        word_c = tie_word[:, :width]
-        is_w = ((word_c & _WRITE_BIT) != 0) & act
+        is_w = ((tie_word & _WRITE_BIT) != 0) & act
         # Polls at batch positions after the write see the flag set at
         # its grant; grants strictly increase, so they all release.
         after_w = np.logical_or.accumulate(is_w, axis=1)
         released = act & ~is_w & (after_w | (g > flag_set[:, None]))
         fail = act & ~is_w & ~released
-        polls_new = polls[:, :width] + fail
+        polls_new = polls + fail
         if bounds_active:
             give_up = np.zeros_like(fail)
             if poll_budget is not None:
                 give_up |= fail & (polls_new >= poll_budget)
             if timeout_cycles is not None:
-                give_up |= fail & (g - arr_ev[:, :width] >= timeout_cycles)
+                give_up |= fail & (g - arr_ev >= timeout_cycles)
             retrying = fail & ~give_up
         else:
             retrying = fail
@@ -446,17 +375,15 @@ def shard_summaries(
         # orders the tie exactly.
         earliest = np.empty_like(retry_at)
         earliest[:, 0] = _SENTINEL
-        if width > 1:
+        if n > 1:
             np.minimum.accumulate(
                 retry_at[:, :-1], axis=1, out=earliest[:, 1:]
             )
-        from_var_pop = (word_c & _KIND_BIT) == 0
+        from_var_pop = (tie_word & _KIND_BIT) == 0
         violated = (r > earliest) | ((r == earliest) & from_var_pop)
         has_violation = violated.any(axis=1)
-        batch_len = np.where(
-            has_violation, np.argmax(violated, axis=1), width
-        )
-        serve = act & (pos_c < batch_len[:, None])
+        batch_len = np.where(has_violation, np.argmax(violated, axis=1), n)
+        serve = act & (pos < batch_len[:, None])
         done = serve & ~retrying  # released, timed out, or the write
 
         acc_total += np.sum(g - r + 1, axis=1, where=serve)
@@ -483,26 +410,15 @@ def shard_summaries(
             g_w = np.max(np.where(write_served, g, -1), axis=1)
             flag_set = np.where(ws_rows, g_w, flag_set)
 
-        # Accelerator inputs read before the writebacks clobber `r`.
-        if not bounds_active:
-            g_first = g[:, 0]
-            r_next = r[row_ix, np.minimum(batch_len, width - 1)]
-
         # Served events sit at positions 0..count-1, so the per-episode
         # pop counter plus the position is the parent pop index.
         served_retry = serve & retrying
-        new_ready = np.where(
-            served_retry, retry_at, np.where(done, _SENTINEL, r)
+        ready = np.where(served_retry, retry_at, np.where(done, _SENTINEL, r))
+        tie_time = np.where(served_retry, r, tie_time)
+        tie_word = np.where(
+            served_retry, _KIND_BIT + flag_pops[:, None] + pos, tie_word
         )
-        new_tt = np.where(served_retry, r, tie_time[:, :width])
-        new_word = np.where(
-            served_retry, _KIND_BIT + flag_pops[:, None] + pos_c, word_c
-        )
-        new_polls = np.where(serve, polls_new, polls[:, :width])
-        ready[:, :width] = new_ready
-        tie_time[:, :width] = new_tt
-        tie_word[:, :width] = new_word
-        polls[:, :width] = new_polls
+        polls = np.where(serve, polls_new, polls)
         flag_pops = flag_pops + served_counts
 
         if not bounds_active:
@@ -512,8 +428,10 @@ def shard_summaries(
             # round-robin shifted one cycle, so jump M of them, staying
             # strictly clear of the first deferred event at r_next.
             cand = (flag_set == _SENTINEL) & any_served
-            cand &= batch_len < width
+            cand &= batch_len < n
             if bool(cand.any()):
+                g_first = g[:, 0]
+                r_next = r[row_ix, np.minimum(batch_len, n - 1)]
                 cand &= (last_grant - g_first) == (served_counts - 1)
                 cand &= r_next < _SENTINEL
             if bool(cand.any()):
@@ -533,85 +451,22 @@ def shard_summaries(
                 if bool(cand.any()):
                     jump = np.where(cand, skips * k, 0)
                     batch = cand[:, None] & serve
-                    ready[:, :width] = np.where(
-                        batch, ready[:, :width] + jump[:, None],
-                        ready[:, :width],
+                    ready = np.where(batch, ready + jump[:, None], ready)
+                    tie_time = np.where(
+                        batch, ready - k[:, None], tie_time
                     )
-                    tie_time[:, :width] = np.where(
-                        batch, ready[:, :width] - k[:, None],
-                        tie_time[:, :width],
+                    tie_word = np.where(
+                        batch, tie_word + jump[:, None], tie_word
                     )
-                    tie_word[:, :width] = np.where(
-                        batch, tie_word[:, :width] + jump[:, None],
-                        tie_word[:, :width],
-                    )
-                    polls[:, :width] = np.where(
+                    polls = np.where(
                         batch,
-                        polls[:, :width]
+                        polls
                         + np.where(cand, skips, 0).astype(np.int32)[:, None],
-                        polls[:, :width],
+                        polls,
                     )
                     acc_total += jump * k
                     flag_next_free = flag_next_free + jump
                     flag_pops = flag_pops + jump
-
-            # -- lone-poller skip: one poller and the unwritten write
-            # are the only live events — columns 0 and 1, since clean
-            # rows keep live events in a sorted prefix — so the
-            # poller's retries are the wait table's running sum:
-            # advance it to just before the write in one searchsorted.
-            cand2 = (flag_set == _SENTINEL) & (wait_fill == n - 2)
-            if bool(cand2.any()):
-                head = ready[:, :2]
-                live2 = head < _SENTINEL
-                cand2 &= live2.all(axis=1)
-                w_mask = live2 & ((tie_word[:, :2] & _WRITE_BIT) != 0)
-                p_mask = live2 & ~w_mask
-                w_ready = np.max(np.where(w_mask, head, -1), axis=1)
-                p_ready = np.max(np.where(p_mask, head, -1), axis=1)
-                p_polls = np.max(
-                    np.where(p_mask, polls[:, :2], 0), axis=1
-                ).astype(np.int64)
-                cand2 &= (p_ready >= flag_next_free) & (p_ready >= 0)
-                cand2 &= p_ready < w_ready
-            if bool(cand2.any()):
-                cum = flag_waits.cumsum
-                base = cum[np.minimum(p_polls, len(cum) - 1)]
-                target = np.where(cand2, w_ready - p_ready + base, 0)
-                flag_waits.ensure_cumsum(int(target.max()))
-                cum = flag_waits.cumsum
-                hops = np.searchsorted(cum, target) - p_polls
-                hops = np.minimum(hops, len(cum) - 1 - p_polls)
-                cand2 &= hops >= 1
-                if bool(cand2.any()):
-                    hops = np.where(cand2, hops, 0)
-                    at = p_polls + hops
-                    last = p_ready + cum[at - 1] - cum[p_polls]
-                    nxt = p_ready + cum[at] - cum[p_polls]
-                    batch2 = cand2[:, None] & p_mask
-                    ready[:, :2] = np.where(batch2, nxt[:, None], head)
-                    tie_time[:, :2] = np.where(
-                        batch2, last[:, None], tie_time[:, :2]
-                    )
-                    tie_word[:, :2] = np.where(
-                        batch2,
-                        _KIND_BIT + (flag_pops + hops - 1)[:, None],
-                        tie_word[:, :2],
-                    )
-                    polls[:, :2] = np.where(
-                        batch2,
-                        polls[:, :2] + hops.astype(np.int32)[:, None],
-                        polls[:, :2],
-                    )
-                    acc_total += hops
-                    flag_next_free = np.where(
-                        cand2, last + 1, flag_next_free
-                    )
-                    flag_pops = flag_pops + hops
-
-        top = int(batch_len.max()) if rows else 0
-        touched = min(n, top + 2)
-        chunk = min(n, max(16, 2 * top + 2))
 
         complete = wait_fill >= n
         finished = int(complete.sum())
