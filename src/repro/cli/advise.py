@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.cli.common import repetitions_arg, seed_arg
+from repro.cli.common import int_arg, repetitions_arg, scale_arg, seed_arg
 
 
 def add_parser(sub) -> None:
@@ -10,8 +10,8 @@ def add_parser(sub) -> None:
                        help="recommend a backoff policy from a profile")
     p.add_argument("--app", choices=("FFT", "SIMPLE", "WEATHER"),
                    default="SIMPLE")
-    p.add_argument("--cpus", type=int, default=64)
-    p.add_argument("--scale", type=float, default=0.5)
+    p.add_argument("--cpus", type=int_arg("cpus", 1), default=64)
+    p.add_argument("--scale", type=scale_arg, default=0.5)
     p.add_argument("--waiting-weight", type=float, default=0.1)
     p.add_argument("--repetitions", type=repetitions_arg, default=30)
     p.add_argument("--seed", type=seed_arg, default=0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from repro.cli.common import (
     add_backend_arg,
     build_policy,
+    int_arg,
     repetitions_arg,
     seed_arg,
 )
@@ -12,9 +13,10 @@ from repro.cli.common import (
 
 def add_parser(sub) -> None:
     p = sub.add_parser("barrier", help="simulate one barrier configuration")
-    p.add_argument("--n", type=int, default=64, help="processors")
-    p.add_argument("--interval-a", type=int, default=1000,
-                   help="arrival interval A")
+    p.add_argument("--n", type=int_arg("n", 1), default=64,
+                   help="processors")
+    p.add_argument("--interval-a", type=int_arg("interval-a", 0),
+                   default=1000, help="arrival interval A")
     p.add_argument(
         "--policy",
         choices=("none", "variable", "linear", "exponential"),

@@ -12,6 +12,7 @@ from repro.cli.common import (
     experiment_kwargs,
     jobs_arg,
     repetitions_arg,
+    scale_arg,
     seed_arg,
 )
 
@@ -52,7 +53,7 @@ def add_parser(sub) -> None:
     p.add_argument("--counters", default=None, metavar="PATH",
                    help="also write the recovery counters as JSON to PATH")
     p.add_argument("--repetitions", type=repetitions_arg, default=None)
-    p.add_argument("--scale", type=float, default=None)
+    p.add_argument("--scale", type=scale_arg, default=None)
     add_param_arg(p)
     add_supervisor_args(p, checkpoint=False)
     add_backend_arg(p)

@@ -22,6 +22,7 @@ dispatch paths, one spine" refactor.
 from __future__ import annotations
 
 import argparse
+import math
 from typing import Any, Dict, Optional
 
 from repro.barrier.backend import BACKENDS
@@ -49,11 +50,13 @@ __all__ = [
     "build_policy",
     "exec_config_from_args",
     "experiment_kwargs",
+    "int_arg",
     "jobs_arg",
     "plan_from_args",
     "render_exec_stats",
     "repetitions_arg",
     "retry_policy_arg",
+    "scale_arg",
     "seed_arg",
     "supervisor_config_from_args",
 ]
@@ -80,19 +83,46 @@ def seed_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(str(error)) from None
 
 
-def repetitions_arg(text: str) -> int:
-    """argparse type for ``--repetitions``: an integer >= 1."""
+def int_arg(name: str, minimum: int):
+    """argparse type for an integer flag that must be ``>= minimum``.
+
+    ``int_arg("n", 1)`` turns ``--n 0`` into a one-line usage error
+    instead of a ``ValueError`` traceback from the simulator it feeds.
+    """
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be an integer, got {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be >= {minimum}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+#: argparse type for ``--repetitions``: an integer >= 1.
+repetitions_arg = int_arg("repetitions", 1)
+
+
+def scale_arg(text: str) -> float:
+    """argparse type for ``--scale``: a finite number > 0."""
     try:
-        repetitions = int(text)
+        scale = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"repetitions must be an integer, got {text!r}"
+            f"scale must be a number, got {text!r}"
         ) from None
-    if repetitions < 1:
+    if not (math.isfinite(scale) and scale > 0):
         raise argparse.ArgumentTypeError(
-            f"repetitions must be >= 1, got {repetitions}"
+            f"scale must be a positive number, got {text!r}"
         )
-    return repetitions
+    return scale
 
 
 def retry_policy_arg(text: str) -> str:

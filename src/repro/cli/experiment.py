@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
-from repro.cli.common import add_param_arg, plan_from_args, repetitions_arg
+from repro.cli.common import (
+    add_param_arg,
+    plan_from_args,
+    repetitions_arg,
+    scale_arg,
+)
 from repro.exec.plan import execute
 
 
@@ -11,7 +16,7 @@ def add_parser(sub) -> None:
     p.add_argument("ids", nargs="+", metavar="ID",
                    help="experiment id(s); see 'python -m repro list'")
     p.add_argument("--repetitions", type=repetitions_arg, default=None)
-    p.add_argument("--scale", type=float, default=None)
+    p.add_argument("--scale", type=scale_arg, default=None)
     p.add_argument(
         "--describe", action="store_true",
         help="print each experiment's parameter schema instead of running",

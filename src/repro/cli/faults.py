@@ -12,6 +12,7 @@ from repro.cli.common import (
     experiment_kwargs,
     repetitions_arg,
     retry_policy_arg,
+    scale_arg,
     seed_arg,
 )
 
@@ -59,7 +60,7 @@ def add_parser(sub) -> None:
     p.add_argument("--fresh", action="store_true",
                    help="discard any existing checkpoint first")
     p.add_argument("--repetitions", type=repetitions_arg, default=None)
-    p.add_argument("--scale", type=float, default=None)
+    p.add_argument("--scale", type=scale_arg, default=None)
     add_param_arg(p)
     add_exec_args(p)
     add_backend_arg(p)

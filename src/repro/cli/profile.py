@@ -11,6 +11,7 @@ from repro.cli.common import (
     add_supervisor_args,
     plan_from_args,
     repetitions_arg,
+    scale_arg,
 )
 
 
@@ -26,7 +27,7 @@ def add_parser(sub) -> None:
         help="output directory (default: profiles/<experiment-id>)",
     )
     p.add_argument("--repetitions", type=repetitions_arg, default=None)
-    p.add_argument("--scale", type=float, default=None)
+    p.add_argument("--scale", type=scale_arg, default=None)
     p.add_argument(
         "--ring-size", type=int, default=4096,
         help="in-memory event buffer size (the JSONL file gets everything)",

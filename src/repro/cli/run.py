@@ -18,6 +18,7 @@ from repro.cli.common import (
     plan_from_args,
     render_exec_stats,
     repetitions_arg,
+    scale_arg,
     seed_arg,
 )
 
@@ -31,7 +32,7 @@ def add_parser(sub) -> None:
     p.add_argument("id", metavar="ID",
                    help="experiment id; see 'python -m repro list'")
     p.add_argument("--repetitions", type=repetitions_arg, default=None)
-    p.add_argument("--scale", type=float, default=None)
+    p.add_argument("--scale", type=scale_arg, default=None)
     p.add_argument("--seed", type=seed_arg, default=None)
     p.add_argument("--quiet", action="store_true",
                    help="print only the run summary, not the report text")

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from repro.cli.common import int_arg, scale_arg
+
 
 def add_parser(sub) -> None:
     p = sub.add_parser("trace", help="schedule an application")
     p.add_argument("--app", choices=("FFT", "SIMPLE", "WEATHER"),
                    default="SIMPLE")
-    p.add_argument("--cpus", type=int, default=64)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--cpus", type=int_arg("cpus", 1), default=64)
+    p.add_argument("--scale", type=scale_arg, default=1.0)
     p.add_argument("--barrier-style", choices=("flat", "tree"),
                    default="flat")
     p.add_argument("--degree", type=int, default=4, help="tree fan-in")

@@ -101,6 +101,43 @@ class TestRepetitionsValidation:
         assert args.repetitions == 5
 
 
+#: Numeric flags whose out-of-range values reach a simulator's own
+#: ``ValueError`` unless argparse rejects them first.
+NUMERIC_FLAG_ERRORS = [
+    (["barrier", "--n", "0"], "--n: n must be >= 1, got 0"),
+    (["barrier", "--interval-a", "-5"],
+     "--interval-a: interval-a must be >= 0, got -5"),
+    (["trace", "--cpus", "0"], "--cpus: cpus must be >= 1, got 0"),
+    (["advise", "--cpus", "0", "--no-simulate"],
+     "--cpus: cpus must be >= 1, got 0"),
+    (["run", "table1", "--scale", "0"],
+     "--scale: scale must be a positive number, got '0'"),
+    (["experiment", "table1", "--scale", "nan"],
+     "--scale: scale must be a positive number, got 'nan'"),
+    (["trace", "--scale", "inf"],
+     "--scale: scale must be a positive number, got 'inf'"),
+]
+
+
+class TestNumericFlagValidation:
+    """Out-of-range numeric flags are usage errors, not tracebacks."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        NUMERIC_FLAG_ERRORS,
+        ids=[" ".join(argv) for argv, _ in NUMERIC_FLAG_ERRORS],
+    )
+    def test_exits_2_with_usage_line(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert "Traceback" not in err
+        last = err.strip().splitlines()[-1]
+        assert last.endswith(f" {argv[0]}: error: argument {message}")
+
+
 class TestSeedValidation:
     """``--seed`` is validated at parse time on every subcommand."""
 
