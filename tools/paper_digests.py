@@ -1,22 +1,24 @@
 #!/usr/bin/env python
-"""Digest-check the coherence and network experiments at paper scale.
+"""Digest-check the paper-scale experiments that tier 1 runs miniature.
 
 The coherence goldens (``tests/goldens/coherence_goldens.json``) run at
-trace scale 0.05, and the network goldens
+trace scale 0.05, the network goldens
 (``tests/goldens/network_goldens.json``) at horizons of a few hundred
-cycles.  This runs each id below at its paper defaults (full-length
-traces and working sets; 20 000-cycle network runs; ``scale1024``'s
-Omega-network probe up to 4096 ports) with ``python -m repro run <id>
---quiet``, one process each, and compares the printed results digest
-with the ``inventory`` entry of ``perfbench/expected_digests.json``,
-which it only reads.
+cycles, and tier 1 runs the barrier ids at a few repetitions.  This
+runs each id below at its paper defaults (full-length traces and
+working sets; 20 000-cycle network runs; ``scale1024``'s Omega-network
+probe up to 4096 ports; the barrier sweeps' full processor counts and
+repetitions, which drive the flat and tree episode kernels) with
+``python -m repro run <id> --quiet``, one process each, and compares
+the printed results digest with the ``inventory`` entry of
+``perfbench/expected_digests.json``, which it only reads.
 
 Usage::
 
     python tools/paper_digests.py
 
-Exits 1 on any mismatch or failed run.  Takes about 60 s on a
-2-vCPU x86_64 host.
+Exits 1 on any mismatch or failed run.  Takes about 60 s for all
+21 ids on a 2-vCPU x86_64 host.
 """
 
 from __future__ import annotations
@@ -39,6 +41,18 @@ IDS = (
     "netbackoff",
     "tree_saturation",
     "scale1024",
+    "figure4",
+    "figure5",
+    "figure6",
+    "figure7",
+    "figure8",
+    "figure9",
+    "figure10",
+    "hardware",
+    "combining",
+    "schedules",
+    "queueing",
+    "determinism",
 )
 
 
