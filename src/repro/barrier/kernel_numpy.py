@@ -335,7 +335,7 @@ def shard_summaries(
                 for arr in (ready, tie_time, tie_word, polls, arr_ev):
                     arr[ids] = np.take_along_axis(arr[ids], order, axis=1)
 
-        r = ready
+        r = ready  # this round's readies; `ready` is rebound below
         act = r < _SENTINEL
         # Module grants: prefix recurrence with the carried next_free.
         g = np.maximum(
